@@ -4,9 +4,13 @@ and the single-site dephasing channel.
 Clifford sampling follows the transvection construction for uniform Sp(2n,2)
 elements (index -> matrix bijection), so uniformity over the 11,520 two-qubit
 Cliffords mod phase reduces to a uniform index in [0, 720) plus four uniform
-sign bits. Conjugation is applied through a 16-entry lookup table per gate
-(local pattern on the two touched sites -> image pattern and sign flip),
-vectorized across all generators of a state.
+sign bits. Conjugation acts on the column-packed tableau as a 4x4 GF(2) map
+per gate on the four columns (x_i, z_i, x_j, z_j), vectorized over a whole
+brickwork layer; signed states also fold in the sign flips of the gate's
+16-entry conjugation table.
+
+Measurement and dephasing read the rows that anticommute with Z_site from
+one tableau column, so each is a few masked XORs and no linear solve.
 """
 
 from __future__ import annotations
@@ -17,9 +21,19 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .gf2 import solve_int_rows
+# solve_int_rows is not used here any more; bench/workloads.py still wraps
+# negsim.channels.solve_int_rows by name, so the name stays importable.
+from .gf2 import solve_int_rows  # noqa: F401
 from .pauli import PauliString, commutes, phase_product
-from .stabilizer import StabilizerState
+from .stabilizer import (
+    StabilizerState,
+    _bit_indices,
+    _clear_row,
+    _fold_rows,
+    _product_sign,
+    _write_row,
+    _xor_row,
+)
 
 __all__ = [
     "CliffordGate",
@@ -191,9 +205,6 @@ def hadamard_on_first() -> CliffordGate:
     return CliffordGate.from_labels("+ZI", "+XI", "+IX", "+IZ")
 
 
-_PARITY16 = np.array([bin(v).count("1") & 1 for v in range(16)], dtype=np.uint8)
-
-
 @lru_cache(maxsize=16384)
 def _conjugation_table(gate: CliffordGate) -> Tuple[np.ndarray, np.ndarray]:
     """(out, flip): local pattern idx = x_i + 2 z_i + 4 x_j + 8 z_j -> image
@@ -273,6 +284,23 @@ def _check_site(state: StabilizerState, site: int):
         raise ValueError(f"site {site} out of range for L={state.num_qubits}")
 
 
+def _gate_maps(table_out: np.ndarray) -> np.ndarray:
+    """(m, 16) conjugation tables -> (m, 4, 4) uint64 masks of the GF(2) maps.
+
+    Entry [g, a, b] is all ones when the image of local basis pattern 1 << a
+    (x_i, z_i, x_j, z_j) has bit b, else zero.
+    """
+    images = table_out[:, [1, 2, 4, 8]]
+    bits = (images[:, :, None] >> np.arange(4, dtype=np.uint8)) & 1
+    return np.uint64(0) - bits.astype(np.uint64)
+
+
+@lru_cache(maxsize=1)
+def _class_maps() -> np.ndarray:
+    """GF(2) gate maps for all 720 classes, built on first use from _class_tables."""
+    return _gate_maps(_class_tables()[0])
+
+
 def apply_clifford(state: StabilizerState, gate: CliffordGate, i: int, j: int) -> StabilizerState:
     """Conjugate every generator by the gate acting on sites (i, j)."""
     _check_site(state, i)
@@ -281,30 +309,40 @@ def apply_clifford(state: StabilizerState, gate: CliffordGate, i: int, j: int) -
         raise ValueError("gate sites must differ")
     out = state.copy()
     table_out, table_flip = _conjugation_table(gate)
-    _apply_tables_inplace(out, table_out[None, :], table_flip[None, :], [i], [j])
+    flips = table_flip[None, :] if out.signed else None
+    _apply_tables_inplace(out, _gate_maps(table_out[None, :]), [i], [j], flips)
     return out
 
 
-def _apply_tables_inplace(state, table_out, table_flip, cols_i, cols_j):
-    """Apply one gate per (cols_i[m], cols_j[m]) pair; tables are (m, 16)."""
-    xi = state._x[:, cols_i]
-    zi = state._z[:, cols_i]
-    xj = state._x[:, cols_j]
-    zj = state._z[:, cols_j]
-    idx = xi | (zi << 1) | (xj << 2) | (zj << 3)
-    sel = np.arange(len(cols_i))[None, :]
-    res = table_out[sel, idx]
-    flips = table_flip[sel, idx]
-    state._x[:, cols_i] = res & 1
-    state._z[:, cols_i] = (res >> 1) & 1
-    state._x[:, cols_j] = (res >> 2) & 1
-    state._z[:, cols_j] = (res >> 3) & 1
-    state._neg ^= (flips.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
+def _apply_tables_inplace(state, maps, cols_i, cols_j, flips=None):
+    """Apply one gate per site pair (cols_i[m], cols_j[m]).
+
+    maps are the (m, 4, 4) masks of _gate_maps. flips, the (m, 16) sign
+    tables, are required for a signed state and ignored otherwise.
+    """
+    L = state.num_qubits
+    cols_i = np.asarray(cols_i, dtype=np.int64)
+    cols_j = np.asarray(cols_j, dtype=np.int64)
+    idx = np.stack([cols_i, cols_i + L, cols_j, cols_j + L])  # (4, m)
+    old = state._cols[:, idx]  # (W, 4, m)
+    if state._neg is not None:
+        if flips is None:
+            raise ValueError("a signed state needs the gates' sign tables")
+        _fold_gate_signs(state, old, flips)
+    new = np.bitwise_xor.reduce(old[:, :, None, :] & maps.transpose(1, 2, 0)[None], axis=1)
+    state._cols[:, idx] = new
 
 
-def _mask_to_bits(mask: int, width: int) -> np.ndarray:
-    raw = np.frombuffer(mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:width]
+def _fold_gate_signs(state, old: np.ndarray, flips: np.ndarray) -> None:
+    """Flip each stabilizer sign by the parity of its gates' table flips."""
+    rows = np.asarray(state._stabilizer_pairs(), dtype=np.int64)
+    if rows.size == 0:
+        return
+    bits = (old[rows >> 6] >> (rows & 63).astype(np.uint64)[:, None, None]) & np.uint64(1)
+    pattern = (bits * np.array([1, 2, 4, 8], dtype=np.uint64)[None, :, None]).sum(axis=1)
+    gate = np.arange(flips.shape[0])[None, :]
+    parity = flips[gate, pattern.astype(np.int64)].sum(axis=1) & 1
+    state._neg[rows] ^= parity.astype(np.uint8)
 
 
 def measure_pauli(
@@ -315,6 +353,7 @@ def measure_pauli(
     Cases: (a) +-h in the group -> deterministic outcome, state unchanged;
     (b) h anticommutes with some generator -> uniform outcome, row update;
     (c) h commutes but is outside the group -> uniform outcome, appended.
+    Needs a signed state.
     """
     if h.num_qubits != state.num_qubits:
         raise ValueError("operator size does not match the state")
@@ -329,96 +368,112 @@ def _uniform_outcome(rng: Rng) -> int:
     return 1 if int(rng.integers(2)) == 0 else -1
 
 
+def _column_int(state: StabilizerState, column: int) -> int:
+    return int.from_bytes(state._cols[:, column].tobytes(), "little")
+
+
 def _measure_inplace(
     state: StabilizerState, h: PauliString, rng: Rng, need_outcome: bool
 ) -> Optional[int]:
+    """Measure any Pauli h: the rows anticommuting with it are the XOR of the
+    X columns of its Z sites and the Z columns of its X sites."""
     L = state.num_qubits
-    hx = _mask_to_bits(h.x_mask, L)
-    hz = _mask_to_bits(h.z_mask, L)
-    overlap = (state._x & hz).sum(axis=1, dtype=np.int64)
-    overlap += (state._z & hx).sum(axis=1, dtype=np.int64)
-    anti = np.nonzero(overlap & 1)[0]
-    if anti.size:  # case (b)
-        state._multiply_rows(anti[0], anti[1:])
-        outcome = _uniform_outcome(rng)
-        row = anti[0]
-        state._x[row] = hx
-        state._z[row] = hz
-        state._neg[row] = (1 if outcome < 0 else 0) ^ (1 if h.sign < 0 else 0)
-        return outcome
-    target = h.x_mask | (h.z_mask << L)
-    combo = solve_int_rows(state.symplectic_int_rows(), target)
-    if combo is None:  # case (c)
-        outcome = _uniform_outcome(rng)
-        state._append_z_row(hx, hz, (outcome < 0) ^ (h.sign < 0))
-        return outcome
-    if not need_outcome:  # case (a): state unchanged either way
-        return None
-    return _group_element_sign(state, combo) * h.sign
-
-
-def _group_element_sign(state: StabilizerState, combo: int) -> int:
-    """Sign of the group element given by a combination bitmask over rows."""
-    acc = PauliString.identity(state.num_qubits)
-    k_total = 0
-    row = 0
-    while combo:
-        if combo & 1:
-            acc, dk = phase_product(acc, state._row_pauli(row))
-            k_total = (k_total + dk) % 4
-        combo >>= 1
-        row += 1
-    if k_total % 2:
-        raise AssertionError("group element sign came out imaginary")
-    return 1 if k_total == 0 else -1
+    columns = [s for s in range(L) if (h.z_mask >> s) & 1]
+    columns += [L + s for s in range(L) if (h.x_mask >> s) & 1]
+    anti = 0
+    for c in columns:
+        anti ^= _column_int(state, c)
+    return _collapse(state, anti, h.x_mask | (h.z_mask << L), h.sign, rng, need_outcome)
 
 
 def _measure_z_inplace(
     state: StabilizerState, site: int, rng: Rng, need_outcome: bool
 ) -> Optional[int]:
-    """Runner fast path for h = Z_site; rng use matches _measure_inplace.
+    """Runner path for h = Z_site: the anticommuting rows are column X_site."""
+    return _collapse(
+        state, _column_int(state, site), 1 << (state.num_qubits + site), 1, rng, need_outcome
+    )
 
-    When Z_site commutes with every generator and k = L, membership in the
-    group is automatic (a maximal stabilizer group is its own centralizer up
-    to phase), so the elimination is skipped unless the outcome is needed.
+
+def _collapse(
+    state: StabilizerState, anti: int, h: int, h_sign: int, rng: Rng, need_outcome: bool
+) -> Optional[int]:
+    """The one measurement update; anti marks the rows anticommuting with h.
+
+    (b) a stabilizer S_p anticommutes: multiply it into the other
+        anticommuting rows except D_p, then D_p <- S_p and S_p <- h.
+    (c) only logical rows anticommute: multiply the lowest, q, into the
+        others except its partner; q becomes the destabilizer and h the
+        stabilizer of that pair.
+    (a) nothing anticommutes: h = +-prod of the S_i whose D_i anticommutes
+        with h, so the state is unchanged and the outcome is that sign.
+    Cases (b) and (c) draw one rng.integers(2); case (a) draws nothing.
     """
+    if need_outcome:
+        state._require_signs("an outcome-returning measurement")
     L = state.num_qubits
-    anti = np.nonzero(state._x[:, site])[0]
-    if anti.size:  # case (b)
-        state._multiply_rows(anti[0], anti[1:])
+    cols, stab = state._cols, state._stab
+    hit = anti & stab
+    if hit:  # case (b)
+        p = (hit & -hit).bit_length() - 1
+        _clear_row(cols, L + p)  # the multiply below then copies S_p into D_p
+        _multiply(state, p, (anti & ~(1 << p)) | (1 << (L + p)))
+        _write_row(cols, p, h)
         outcome = _uniform_outcome(rng)
-        row = anti[0]
-        state._x[row] = 0
-        state._z[row] = 0
-        state._z[row, site] = 1
-        state._neg[row] = 1 if outcome < 0 else 0
+        if state._neg is not None:
+            state._neg[p] = (outcome < 0) ^ (h_sign < 0)
         return outcome
-    target = 1 << (L + site)
-    if state.num_generators == L:
-        if not need_outcome:
-            return None
-        combo = solve_int_rows(state.symplectic_int_rows(), target)
-        if combo is None:
-            raise AssertionError("full-rank state missing a commuting Z row")
-        return _group_element_sign(state, combo)
-    combo = solve_int_rows(state.symplectic_int_rows(), target)
-    if combo is None:  # case (c)
+    free = ((1 << L) - 1) & ~stab
+    hit = anti & (free | (free << L))
+    if hit:  # case (c): no stabilizer is hit, so no sign changes
+        q = (hit & -hit).bit_length() - 1
+        pair = q % L
+        if q == pair:  # q moves into the destabilizer row
+            _clear_row(cols, L + pair)
+            targets = (anti & ~(1 << q)) | (1 << (L + pair))
+        else:
+            targets = anti & ~((1 << q) | (1 << pair))
+        _xor_row(cols, q, targets)
+        _write_row(cols, pair, h)
+        state._stab = stab | (1 << pair)
         outcome = _uniform_outcome(rng)
-        x_bits = np.zeros(L, dtype=np.uint8)
-        z_bits = np.zeros(L, dtype=np.uint8)
-        z_bits[site] = 1
-        state._append_z_row(x_bits, z_bits, outcome < 0)
+        if state._neg is not None:
+            state._neg[pair] = (outcome < 0) ^ (h_sign < 0)
         return outcome
     if not need_outcome:  # case (a)
         return None
-    return _group_element_sign(state, combo)
+    return _group_element_sign(state, (anti >> L) & stab, h) * h_sign
+
+
+def _multiply(state: StabilizerState, source: int, targets: int) -> None:
+    """Rows in the int mask targets <- row source times themselves; signed
+    states go through _multiply_rows for the stabilizer signs."""
+    if state._neg is not None:
+        state._multiply_rows(source, _bit_indices(targets))
+    else:
+        _xor_row(state._cols, source, targets)
+
+
+def _group_element_sign(state: StabilizerState, pairs: int, h: int) -> int:
+    """Sign of the product of the stabilizers S_j for j set in `pairs`; the
+    product's Pauli content must be h."""
+    L = state.num_qubits
+    rows = state._rows_int()
+    acc, neg = 0, 0
+    for j in _bit_indices(pairs):
+        neg = _product_sign(L, acc, neg, rows[j], int(state._neg[j]))
+        acc ^= rows[j]
+    if acc != h:
+        raise AssertionError("measured operator is not in the stabilizer group")
+    return -1 if neg else 1
 
 
 def dephase(state: StabilizerState, site: int) -> StabilizerState:
     """Computational-basis dephasing channel on one site.
 
-    Row-reduces so at most one generator anticommutes with Z_site and deletes
-    it (purity halves); a state with no anticommuting generator is unaffected.
+    Row-reduces so at most one generator anticommutes with Z_site and turns
+    its pair into a logical pair (purity halves); a state with no
+    anticommuting generator is unaffected.
     """
     _check_site(state, site)
     out = state.copy()
@@ -427,8 +482,15 @@ def dephase(state: StabilizerState, site: int) -> StabilizerState:
 
 
 def _dephase_inplace(state: StabilizerState, site: int):
-    anti = np.nonzero(state._x[:, site])[0]
-    if anti.size == 0:
+    """Multiply the pivot S_p into the other anticommuting stabilizers, fold
+    their destabilizers into D_p, then clear pair p's stabilizer bit."""
+    hit = _column_int(state, site) & state._stab
+    if not hit:
         return
-    state._multiply_rows(anti[0], anti[1:])
-    state._delete_rows([anti[0]])
+    L = state.num_qubits
+    p = (hit & -hit).bit_length() - 1
+    others = hit & ~(1 << p)
+    if others:
+        _multiply(state, p, others)
+        _fold_rows(state._cols, others << L, L + p)
+    state._stab &= ~(1 << p)

@@ -7,7 +7,13 @@ bipartition on a layer stride.
 
 Seeding contract: trajectory i draws from SeedSequence(seed, spawn_key=(i,)),
 and aggregation is done in trajectory order, so results are bit-identical
-for any worker count.
+for any worker count. The draw order is part of the contract; per layer:
+rng.integers(720, size=n) gate classes and rng.integers(16, size=n) gate sign
+bits for the n gates, rng.random(L) for the measurement sites when p > 0,
+one rng.integers(2) per random-outcome (anticommuting or appended) Z
+measurement in site order, and rng.choice(L, size=m, replace=False) for a
+random_sites(m) schedule. The runner's state carries no signs, yet every
+one of these draws is made.
 """
 
 from __future__ import annotations
@@ -22,9 +28,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .channels import (
-    _PARITY16,
     _apply_tables_inplace,
-    _class_tables,
+    _class_maps,
     _dephase_inplace,
     _measure_z_inplace,
     trajectory_rng,
@@ -130,11 +135,10 @@ def run_trajectory(
 ) -> TrajectoryResult:
     rng = trajectory_rng(cfg.seed, trajectory_index)
     L, T, stride = cfg.L, cfg.steps, cfg.observables_every
-    state = product_state(L)
+    state = product_state(L, signed=False)  # no recorded observable reads a sign
     bp = Bipartition.contiguous_halves(L)
     kind, param = cfg.schedule()
-    base_out, base_flip = _class_tables()
-    idx16 = np.arange(16, dtype=np.uint8)
+    maps = _class_maps()
 
     times: List[int] = []
     records: List[ObservableRecord] = []
@@ -143,10 +147,9 @@ def run_trajectory(
         n_pairs = (L - start) // 2
         if n_pairs:
             sym = rng.integers(720, size=n_pairs)
-            signs = rng.integers(16, size=n_pairs).astype(np.uint8)
-            flip = base_flip[sym] ^ _PARITY16[signs[:, None] & idx16[None, :]]
+            rng.integers(16, size=n_pairs)  # the gates' sign bits: drawn, unused unsigned
             cols = np.arange(start, start + 2 * n_pairs, 2)
-            _apply_tables_inplace(state, base_out[sym], flip, cols, cols + 1)
+            _apply_tables_inplace(state, maps[sym], cols, cols + 1)
         if cfg.p > 0:
             for site in np.nonzero(rng.random(L) < cfg.p)[0]:
                 _measure_z_inplace(state, int(site), rng, need_outcome=False)

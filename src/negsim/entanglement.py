@@ -1,8 +1,10 @@
 """Entanglement observables on mixed stabilizer states.
 
 All quantities reduce to GF(2) ranks of the generator matrix: entropy from
-the rank restricted to a region's complement, logarithmic negativity from
-half the rank of the binary anticommutation form on a half's restrictions.
+the rank restricted to a region's complement (read as the rank of the
+tableau's complement columns, the transpose), logarithmic negativity from
+half the rank of the binary anticommutation form of the generators of
+rho_AB restricted to A. S_AB of the whole chain is L - k and needs no rank.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .gf2 import bits_to_int_rows, parity_matmul, rank_int_rows
-from .pauli import support_interval
-from .stabilizer import StabilizerState, canonicalize
+from .stabilizer import StabilizerState, _int_rows_to_bits, canonicalize
 
 __all__ = [
     "Bipartition",
@@ -62,6 +63,12 @@ def _region_columns(L: int, region: Sequence[int]) -> np.ndarray:
     return cols
 
 
+def _complement(L: int, cols: np.ndarray) -> np.ndarray:
+    keep = np.ones(L, dtype=bool)
+    keep[cols] = False
+    return np.flatnonzero(keep)
+
+
 def entropy(state: StabilizerState, region: Iterable[int]) -> int:
     """S_R = |R| - |G_R| with G_R the subgroup supported inside R.
 
@@ -70,20 +77,55 @@ def entropy(state: StabilizerState, region: Iterable[int]) -> int:
     """
     L = state.num_qubits
     cols = _region_columns(L, set(region))
-    comp = np.setdiff1d(np.arange(L), cols)
+    comp = _complement(L, cols)
     if comp.size == 0:
         return int(L - state.num_generators)
-    restricted = np.concatenate([state._x[:, comp], state._z[:, comp]], axis=1)
+    restricted = state._stabilizer_bits(np.concatenate([comp, comp + L]))
     rank = rank_int_rows(bits_to_int_rows(restricted))
     inside = state.num_generators - rank
     return int(cols.size - inside)
 
 
+def _subgroup_rows(rows: Sequence[int], outside: int) -> Sequence[int]:
+    """Generators of the subgroup with no support on the bits in `outside`.
+
+    Eliminates over those bits; the rows that reduce to zero there are
+    independent and span the subgroup.
+    """
+    pivots: dict = {}
+    inside = []
+    for row in rows:
+        while row & outside:
+            top = (row & outside).bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+        else:
+            inside.append(row)
+    return inside
+
+
 def negativity(state: StabilizerState, bp: Bipartition) -> float:
-    """E = rank(J)/2 where J is the anticommutation form of A-restrictions."""
-    cols = _region_columns(state.num_qubits, bp.region_a)
-    xa = state._x[:, cols]
-    za = state._z[:, cols]
+    """E = rank(J)/2, J the anticommutation form of rho_AB's generators on A.
+
+    rho_AB's group is the subgroup supported on A u B (Sang et al.,
+    arXiv:2012.00031); when A u B is the whole chain that is every generator.
+    """
+    L = state.num_qubits
+    a = _region_columns(L, bp.region_a)
+    columns = np.concatenate([a, a + L])
+    rest = _complement(L, _region_columns(L, bp.joint()))
+    if rest.size == 0:
+        bits = state._stabilizer_bits(columns)
+    else:
+        outside = 0
+        for site in rest.tolist():
+            outside |= (1 << site) | (1 << (L + site))
+        rows = _subgroup_rows(state.symplectic_int_rows(), outside)
+        bits = _int_rows_to_bits(rows, 2 * L)[:, columns]
+    xa, za = bits[:, : a.size], bits[:, a.size :]
     j = parity_matmul(xa, za.T) ^ parity_matmul(za, xa.T)
     return rank_int_rows(bits_to_int_rows(j)) / 2.0
 
@@ -145,12 +187,12 @@ def length_distribution(state: StabilizerState) -> np.ndarray:
 
     Identity rows (possible in mixed states) do not contribute.
     """
-    clipped = canonicalize(state)
-    counts = np.zeros(state.num_qubits + 1, dtype=np.int64)
-    for g in clipped.generators:
-        interval = support_interval(g)
-        if interval is not None:
-            counts[interval[1] - interval[0] + 1] += 1
+    L = state.num_qubits
+    counts = np.zeros(L + 1, dtype=np.int64)
+    for row in canonicalize(state).symplectic_int_rows():
+        support = (row | (row >> L)) & ((1 << L) - 1)
+        if support:
+            counts[support.bit_length() - (support & -support).bit_length() + 1] += 1
     return counts
 
 

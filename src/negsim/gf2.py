@@ -125,7 +125,8 @@ def bits_to_int_rows(bits) -> List[int]:
     if arr.shape[1] == 0:
         return [0] * arr.shape[0]
     packed = np.packbits(arr & 1, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    raw, n = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i : i + n], "little") for i in range(0, len(raw), n)]
 
 
 def parity_matmul(a, b) -> np.ndarray:

@@ -29,10 +29,11 @@ __all__ = [
     "renyi_negativity",
     "RenyiNegativity",
     "replica_trace_identity_check",
-    "dense_channel_step",
     "page_negativity_check",
     "haar_unitary",
     "oracle_check_suite",
+    "dense_split_negativity",
+    "replay_trajectory",
     "OracleReport",
 ]
 
@@ -237,23 +238,6 @@ def _embed_two_site(u: np.ndarray, i: int, j: int, L: int) -> np.ndarray:
     return full
 
 
-def dense_channel_step(state: DenseState, op: tuple) -> DenseState:
-    """Apply one circuit primitive given as a tagged tuple.
-
-    Accepted forms: ("gate", CliffordGate, i, j), ("measure_z", site, rng),
-    ("dephase", site).
-    """
-    tag = op[0]
-    if tag == "gate":
-        return state.apply_gate(op[1], op[2], op[3])
-    if tag == "measure_z":
-        _, out = state.measure_z(op[1], op[2])
-        return out
-    if tag == "dephase":
-        return state.dephase_site(op[1])
-    raise ValueError(f"unknown channel op {tag!r}")
-
-
 # -- negativities --------------------------------------------------------------
 
 
@@ -385,6 +369,23 @@ class OracleReport:
         return not self.failures
 
 
+def _random_split(L: int, rng: Rng) -> Tuple[list, list]:
+    """Disjoint non-empty A, B with C = the rest possibly non-empty."""
+    while True:
+        labels = rng.integers(3, size=L)  # 0 -> A, 1 -> B, 2 -> C
+        a = [s for s in range(L) if labels[s] == 0]
+        b = [s for s in range(L) if labels[s] == 1]
+        if a and b:
+            return a, b
+
+
+def dense_split_negativity(state: DenseState, region_a: Sequence[int], region_b: Sequence[int]) -> float:
+    """E_{A:B} of rho_AB, the state with the rest of the chain traced out."""
+    joint = sorted(list(region_a) + list(region_b))
+    reduced = DenseState(len(joint), state.partial_trace(joint)) if len(joint) < state.num_qubits else state
+    return log_negativity(reduced, [joint.index(s) for s in region_b])
+
+
 def oracle_check_suite(
     seed: int = 7, circuits: int = 500, L: int = 4, depth: int = 8, p_measure: float = 0.3
 ) -> OracleReport:
@@ -393,14 +394,17 @@ def oracle_check_suite(
     Each layer applies brickwork random Cliffords, measures each site's Z
     with probability p_measure (the dense side is projected onto the
     stabilizer side's outcome, with a Born-probability consistency check),
-    and dephases one random site. Entropies, negativity, mutual information,
-    and purity are compared after every layer.
+    and dephases one random site. Entropies, negativity of the halves and of
+    a random split A:B whose complement C may be non-empty, mutual
+    information and purity are compared after every layer. The splits come
+    from a second stream, so the circuits are the same for any split draws.
     """
     from . import entanglement  # local import to avoid a cycle
-    from .channels import _measure_inplace, apply_clifford, dephase
+    from .channels import apply_clifford, dephase, measure_pauli
     from .stabilizer import product_state
 
     rng = make_rng(seed)
+    split_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
     half = list(range(L // 2))
     rest = list(range(L // 2, L))
     bp = entanglement.Bipartition(frozenset(half), frozenset(rest))
@@ -419,9 +423,7 @@ def oracle_check_suite(
             for site in range(L):
                 if rng.random() < p_measure:
                     h = PauliString.from_ops(L, {site: "Z"})
-                    copy = stab.copy()
-                    outcome = _measure_inplace(copy, h, rng, need_outcome=True)
-                    stab = copy
+                    outcome, stab = measure_pauli(stab, h, rng)
                     prob, dense = dense.project_z(site, outcome)
                     if min(abs(prob - 1.0), abs(prob - 0.5)) > 1e-9:
                         failures.append(
@@ -440,6 +442,15 @@ def oracle_check_suite(
             s_dense = [dense.entropy(half), dense.entropy(rest), dense.entropy(half + rest)]
             dev_s = max(abs(a - b) for a, b in zip(s_stab, s_dense))
             dev_e = abs(entanglement.negativity(stab, bp) - log_negativity(dense, rest))
+            split_a, split_b = _random_split(L, split_rng)
+            split = entanglement.Bipartition(split_a, split_b)
+            dev_e = max(
+                dev_e,
+                abs(
+                    entanglement.negativity(stab, split)
+                    - dense_split_negativity(dense, split_a, split_b)
+                ),
+            )
             dev_p = abs(
                 2.0 ** (stab.num_generators - stab.num_qubits) - dense.purity()
             )
@@ -449,3 +460,80 @@ def oracle_check_suite(
                     f"circuit {circuit} layer {layer}: devs S={dev_s} E={dev_e} purity={dev_p}"
                 )
     return OracleReport(circuits, comparisons, max_s, max_e, max_p, failures)
+
+
+def replay_trajectory(cfg, trajectory_index: int = 0, atol: float = 1e-9) -> OracleReport:
+    """Check run_trajectory itself against the dense engine (L <= 8).
+
+    Runs the trajectory, then replays its RNG stream draw for draw on a
+    DenseState: the same gate classes and sign bits, the same measured
+    sites, one outcome bit exactly when the dense Born probability is 1/2
+    (the stabilizer runner's cases (b) and (c)) and none when the outcome is
+    certain (case (a)), and the same dephased sites. Every recorded field is
+    compared at every recorded time, and the final k against the dense
+    purity. The report counts one circuit and one comparison per record.
+    """
+    from .channels import _gate_from_class, _uniform_outcome, trajectory_rng
+    from .circuit import run_trajectory
+    from .entanglement import ObservableRecord
+
+    L, T, stride = cfg.L, cfg.steps, cfg.observables_every
+    if L > DenseState.MAX_QUBITS:
+        raise ValueError("replay needs L <= 8 for the dense engine")
+    result = run_trajectory(cfg, trajectory_index, keep_final_state=True)
+    rng = trajectory_rng(cfg.seed, trajectory_index)
+    kind, param = cfg.schedule()
+    half, rest = list(range(L // 2)), list(range(L // 2, L))
+    dense = DenseState.product_state(L)
+    failures: list = []
+    max_s = max_e = max_p = 0.0
+    records = iter(result.records)
+    for t in range(1, T + 1):
+        start = 0 if t % 2 else 1
+        n_pairs = (L - start) // 2
+        if n_pairs:
+            sym = rng.integers(720, size=n_pairs)
+            signs = rng.integers(16, size=n_pairs)
+            for m in range(n_pairs):
+                i = start + 2 * m
+                dense = dense.apply_gate(_gate_from_class(int(sym[m]), int(signs[m])), i, i + 1)
+        if cfg.p > 0:
+            for site in np.nonzero(rng.random(L) < cfg.p)[0]:
+                site = int(site)
+                prob_up = float(np.real(np.trace(dense.z_projector(site, 1) @ dense.rho)))
+                if abs(prob_up - 0.5) < atol:
+                    outcome = _uniform_outcome(rng)
+                elif min(prob_up, 1.0 - prob_up) < atol:
+                    outcome = 1 if prob_up > 0.5 else -1
+                else:
+                    failures.append(f"t={t} site {site}: Born probability {prob_up}")
+                    return OracleReport(1, 0, max_s, max_e, max_p, failures)
+                _, dense = dense.project_z(site, outcome)
+        if kind == "boundary":
+            if t % param == 0:
+                dense = dense.dephase_site(0).dephase_site(L - 1)
+        elif param:
+            for site in sorted(int(s) for s in rng.choice(L, size=param, replace=False)):
+                dense = dense.dephase_site(site)
+        if t % stride == 0 or t == T:
+            rec = next(records)
+            s_a, s_b, s_ab = dense.entropy(half), dense.entropy(rest), dense.entropy(half + rest)
+            want = {
+                "S_A": s_a,
+                "S_B": s_b,
+                "S_AB": s_ab,
+                "E": log_negativity(dense, rest),
+                "I": s_a + s_b - s_ab,
+                "purity_log2": float(np.log2(dense.purity())),
+            }
+            got = dict(zip(ObservableRecord.FIELDS, rec.values()))
+            dev = {name: abs(got[name] - want[name]) for name in ObservableRecord.FIELDS}
+            max_s = max(max_s, dev["S_A"], dev["S_B"], dev["S_AB"], dev["I"])
+            max_e, max_p = max(max_e, dev["E"]), max(max_p, dev["purity_log2"])
+            bad = {name: (got[name], want[name]) for name, d in dev.items() if d > atol}
+            if rec.time != t or bad:
+                failures.append(f"t={t} (record t={rec.time}): runner vs dense {bad}")
+    k_dense = L + float(np.log2(dense.purity()))
+    if abs(result.final_state.num_generators - k_dense) > atol:
+        failures.append(f"final k {result.final_state.num_generators} vs dense {k_dense}")
+    return OracleReport(1, len(result.records), max_s, max_e, max_p, failures)

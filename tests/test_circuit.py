@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from negsim.channels import (
-    _PARITY16,
     _apply_tables_inplace,
-    _class_tables,
+    _class_maps,
     _gate_from_class,
     apply_clifford,
     make_rng,
@@ -82,27 +81,27 @@ def test_record_count_matches_stride(T, stride):
 
 
 def test_vectorized_layer_matches_sequential_gates():
-    # the runner folds per-gate sign bits into the class tables; check against
-    # one-gate-at-a-time application for full brickwork rows
+    # the runner applies a whole brickwork row of class maps to an unsigned
+    # tableau at once; check every tableau row (stabilizers, destabilizers)
+    # against one-gate-at-a-time signed application of the sampled gates
     rng = make_rng(97)
-    base_out, base_flip = _class_tables()
-    idx16 = np.arange(16, dtype=np.uint8)
+    maps = _class_maps()
     for trial in range(50):
         L = 8
-        state = product_state(L)
+        state = product_state(L, signed=False)
+        expected = product_state(L)
         # scramble a little first
         for t in range(3):
             start = t % 2
             cols = np.arange(start, L - 1, 2)
             sym = rng.integers(720, size=cols.size)
-            signs = rng.integers(16, size=cols.size).astype(np.uint8)
-            flip = base_flip[sym] ^ _PARITY16[signs[:, None] & idx16[None, :]]
-            expected = state.copy()
+            signs = rng.integers(16, size=cols.size)
             for m, c in enumerate(cols):
                 gate = _gate_from_class(int(sym[m]), int(signs[m]))
                 expected = apply_clifford(expected, gate, int(c), int(c) + 1)
-            _apply_tables_inplace(state, base_out[sym], flip, cols, cols + 1)
-            assert state == expected
+            _apply_tables_inplace(state, maps[sym], cols, cols + 1)
+            assert state._rows_int() == expected._rows_int()
+            assert validate(state) is None
 
 
 def test_no_measurement_no_bath_stays_pure():

@@ -21,8 +21,10 @@ from negsim.oracle import (
     partial_transpose,
     pauli_matrix,
     renyi_negativity,
+    replay_trajectory,
     replica_trace_identity_check,
 )
+from negsim.circuit import CircuitConfig
 from negsim.pauli import PauliString
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -199,3 +201,46 @@ def test_oracle_check_suite_smoke():
     assert report.ok, report.failures
     assert report.circuits == 8
     assert report.max_negativity_dev < 1e-9
+
+
+@pytest.mark.parametrize(
+    "schedule", ["boundary_even_steps", "boundary_every_step", "random_sites(2)"]
+)
+def test_replay_trajectory_matches_runner(schedule):
+    # the runner's own gate, measurement and dephasing path against dense
+    # matrices, every recorded field at every stride plus the final k
+    cases = 0
+    for seed in range(4):
+        for L, p in ((4, 0.3), (6, 0.15)):
+            cfg = CircuitConfig(
+                L=L, p=p, T=3 * L, seed=seed, dephasing_schedule=schedule, observables_every=2
+            )
+            report = replay_trajectory(cfg, trajectory_index=seed)
+            assert report.ok, report.failures[:3]
+            assert report.comparisons == len(range(2, 3 * L + 1, 2))
+            cases += 1
+    assert cases == 8
+
+
+def test_replay_trajectory_detects_a_wrong_record():
+    import negsim.circuit as circuit
+
+    cfg = CircuitConfig(L=4, p=0.2, T=8, seed=1)
+    original = circuit.record_observables
+
+    def off_by_one(state, bp, time):
+        rec = original(state, bp, time)
+        return type(rec)(rec.time, rec.S_A, rec.S_B, rec.S_AB, rec.E, rec.I + 1, rec.purity_log2)
+
+    circuit.record_observables = off_by_one
+    try:
+        report = replay_trajectory(cfg)
+    finally:
+        circuit.record_observables = original
+    assert not report.ok
+    assert "'I'" in report.failures[0]
+
+
+def test_replay_trajectory_rejects_large_chains():
+    with pytest.raises(ValueError):
+        replay_trajectory(CircuitConfig(L=10, p=0.1, T=2))

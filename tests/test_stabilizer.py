@@ -69,30 +69,44 @@ def test_constructor_round_trip():
 
 
 def test_validate_detects_violations():
-    too_many = StabilizerState._from_arrays(
-        np.zeros((3, 2), np.uint8), np.eye(3, 2, dtype=np.uint8), np.zeros(3, np.uint8)
-    )
-    assert "too many" in validate(too_many)
+    # A state holds a full symplectic basis, so the constructors refuse
+    # generator lists that cannot be completed, with the message validate
+    # gives for the same violation.
+    with pytest.raises(ValueError, match="too many"):
+        StabilizerState._from_arrays(
+            np.zeros((3, 2), np.uint8), np.eye(3, 2, dtype=np.uint8), np.zeros(3, np.uint8)
+        )
 
-    anti = StabilizerState(
-        2, [PauliString.from_label("+XI"), PauliString.from_label("+ZI")]
-    )
+    with pytest.raises(ValueError, match="non-commuting"):
+        StabilizerState(2, [PauliString.from_label("+XI"), PauliString.from_label("+ZI")])
+
+    with pytest.raises(ValueError, match="dependent"):
+        StabilizerState(
+            3,
+            [
+                PauliString.from_label("+XXI"),
+                PauliString.from_label("+ZZI"),
+                PauliString.from_label("-YYI"),  # XXI * ZZI
+            ],
+        )
+
+    with pytest.raises(ValueError, match="entries"):
+        StabilizerState._from_arrays(
+            np.full((1, 2), 2, np.uint8), np.zeros((1, 2), np.uint8), np.zeros(1, np.uint8)
+        )
+
+    # validate checks the whole basis of a state object: S_j pairs only with D_j.
+    anti = product_state(2)
+    anti._cols[0, 1] ^= np.uint64(1)  # S_0 = Z0 -> Z0 X1, which anticommutes with S_1 = Z1
     assert "non-commuting" in validate(anti)
 
-    dependent = StabilizerState(
-        3,
-        [
-            PauliString.from_label("+XXI"),
-            PauliString.from_label("+ZZI"),
-            PauliString.from_label("-YYI"),  # XXI * ZZI
-        ],
-    )
-    assert "dependent" in validate(dependent)
+    broken = product_state(2)
+    broken._cols[0, 3] ^= np.uint64(1 << 2)  # D_0 = X0 -> X0 Z1, which anticommutes with D_1
+    assert "basis rows" in validate(broken)
 
-    bad_entries = StabilizerState._from_arrays(
-        np.full((1, 2), 2, np.uint8), np.zeros((1, 2), np.uint8), np.zeros(1, np.uint8)
-    )
-    assert "entries" in validate(bad_entries)
+    too_many = product_state(2)
+    too_many._stab |= 1 << 2
+    assert "too many" in validate(too_many)
 
 
 def test_purity_tracks_generator_count():
