@@ -1,8 +1,8 @@
 """Entanglement observables on mixed stabilizer states.
 
 All quantities reduce to GF(2) ranks of the generator matrix: entropy from
-the rank restricted to a region's complement (read as the rank of the
-tableau's complement columns, the transpose), logarithmic negativity from
+the rank restricted to a region's complement (the stabilizer rows of the
+complement's tableau columns), logarithmic negativity from
 half the rank of the binary anticommutation form of the generators of
 rho_AB restricted to A. S_AB of the whole chain is L - k and needs no rank.
 """
@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .gf2 import bits_to_int_rows, parity_matmul, rank_int_rows
-from .stabilizer import StabilizerState, _int_rows_to_bits, canonicalize
+from .stabilizer import StabilizerState, _int_rows_to_bits, _row_interval, canonicalize
 
 __all__ = [
     "Bipartition",
@@ -190,9 +190,9 @@ def length_distribution(state: StabilizerState) -> np.ndarray:
     L = state.num_qubits
     counts = np.zeros(L + 1, dtype=np.int64)
     for row in canonicalize(state).symplectic_int_rows():
-        support = (row | (row >> L)) & ((1 << L) - 1)
-        if support:
-            counts[support.bit_length() - (support & -support).bit_length() + 1] += 1
+        interval = _row_interval(row, L)
+        if interval is not None:
+            counts[interval[1] - interval[0] + 1] += 1
     return counts
 
 

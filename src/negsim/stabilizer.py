@@ -465,12 +465,19 @@ def _product_sign(L: int, a: int, a_neg: int, b: int, b_neg: int) -> int:
     return k >> 1
 
 
-def _left_key(row: int, L: int) -> Tuple[int, int]:
+def _row_interval(row: int, L: int) -> Optional[Tuple[int, int]]:
+    """(leftmost, rightmost) sites of a 2L-bit row, None for the identity."""
     support = (row | (row >> L)) & ((1 << L) - 1)
     if not support:
+        return None
+    return ((support & -support).bit_length() - 1, support.bit_length() - 1)
+
+
+def _left_key(row: int, L: int) -> Tuple[int, int]:
+    interval = _row_interval(row, L)
+    if interval is None:
         return (L, 1)
-    site = (support & -support).bit_length() - 1
-    return (site, 0 if (row >> site) & 1 else 1)
+    return (interval[0], 0 if (row >> interval[0]) & 1 else 1)
 
 
 def canonicalize(state: StabilizerState) -> StabilizerState:
@@ -546,8 +553,8 @@ def clipped_endpoint_counts(state: StabilizerState) -> Tuple[np.ndarray, np.ndar
     left = np.zeros(L, dtype=np.int64)
     right = np.zeros(L, dtype=np.int64)
     for row in state.symplectic_int_rows():
-        support = (row | (row >> L)) & ((1 << L) - 1)
-        if support:
-            left[(support & -support).bit_length() - 1] += 1
-            right[support.bit_length() - 1] += 1
+        interval = _row_interval(row, L)
+        if interval is not None:
+            left[interval[0]] += 1
+            right[interval[1]] += 1
     return left, right

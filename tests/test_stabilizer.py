@@ -181,3 +181,28 @@ def test_symplectic_int_rows_layout():
     row = s.symplectic_int_rows()[0]
     x, z = row & 0b111, row >> 3
     assert x == 0b101 and z == 0b110
+
+
+def test_unsigned_state_refuses_sign_queries():
+    from negsim.channels import _measure_z_inplace, measure_pauli
+    from negsim.entanglement import entropy, length_distribution
+
+    signed = random_state(6, 21)
+    state = product_state(6, signed=False)
+    state._cols[:] = signed._cols
+    state._stab = signed._stab
+    with pytest.raises(ValueError, match="signed"):
+        state.generators
+    with pytest.raises(ValueError, match="signed"):
+        state.to_json()
+    with pytest.raises(ValueError, match="signed"):
+        measure_pauli(state, PauliString.from_ops(6, {0: "Z"}), make_rng(0))
+    with pytest.raises(ValueError, match="signed"):
+        _measure_z_inplace(state.copy(), 0, make_rng(0), need_outcome=True)
+    # everything that reads no sign works and agrees with the signed state
+    assert validate(state) is None
+    assert state != signed
+    assert state.symplectic_int_rows() == signed.symplectic_int_rows()
+    assert entropy(state, [0, 1, 2]) == entropy(signed, [0, 1, 2])
+    assert canonicalize(state).symplectic_int_rows() == canonicalize(signed).symplectic_int_rows()
+    assert length_distribution(state).tolist() == length_distribution(signed).tolist()
