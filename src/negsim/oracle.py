@@ -379,11 +379,14 @@ def _random_split(L: int, rng: Rng) -> Tuple[list, list]:
             return a, b
 
 
-def dense_split_negativity(state: DenseState, region_a: Sequence[int], region_b: Sequence[int]) -> float:
+def dense_split_negativity(
+    state: DenseState, region_a: Sequence[int], region_b: Sequence[int]
+) -> float:
     """E_{A:B} of rho_AB, the state with the rest of the chain traced out."""
     joint = sorted(list(region_a) + list(region_b))
-    reduced = DenseState(len(joint), state.partial_trace(joint)) if len(joint) < state.num_qubits else state
-    return log_negativity(reduced, [joint.index(s) for s in region_b])
+    if len(joint) < state.num_qubits:
+        state = DenseState(len(joint), state.partial_trace(joint))
+    return log_negativity(state, [joint.index(s) for s in region_b])
 
 
 def oracle_check_suite(

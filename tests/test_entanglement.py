@@ -123,7 +123,8 @@ def test_negativity_ghz_non_covering_split_is_zero():
     bp = Bipartition([0], [1])
     assert negativity(ghz, bp) == 0.0
     assert mutual_information(ghz, bp) == 1
-    assert log_negativity(DenseState(2, DenseState.from_stabilizer(ghz).partial_trace([0, 1])), [1]) < 1e-12
+    reduced = DenseState(2, DenseState.from_stabilizer(ghz).partial_trace([0, 1]))
+    assert log_negativity(reduced, [1]) < 1e-12
 
 
 def test_negativity_non_covering_splits_match_dense_oracle():

@@ -38,6 +38,7 @@ def test_cli_cell_matches_golden(name, tmp_path):
 
 def test_fig3_desk_histogram_matches_golden(tmp_path):
     # keep_final_state + length_distribution on the runner's final states
-    assert main(["reproduce", "--figure", "fig3", "--scale", "desk", "--out-dir", str(tmp_path)]) == 0
+    args = ["reproduce", "--figure", "fig3", "--scale", "desk", "--out-dir", str(tmp_path)]
+    assert main(args) == 0
     name = "fig3_desk_histogram.csv"
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

@@ -58,7 +58,8 @@ def check_against_dense(state, dense, labels):
     halves = Bipartition.contiguous_halves(L) if L % 2 == 0 else Bipartition([0], range(1, L))
     assert abs(negativity(state, halves) - log_negativity(dense, halves.region_b)) < 1e-9
     if a and b:
-        assert abs(negativity(state, Bipartition(a, b)) - dense_split_negativity(dense, a, b)) < 1e-9
+        e_split = negativity(state, Bipartition(a, b))
+        assert abs(e_split - dense_split_negativity(dense, a, b)) < 1e-9
 
 
 @SETTINGS
