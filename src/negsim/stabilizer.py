@@ -256,18 +256,14 @@ class StabilizerState:
         if self._neg is None:
             raise ValueError(f"{what} needs a signed state; this one tracks no signs")
 
-    def _row_pauli(self, row: int, value: Optional[int] = None) -> PauliString:
-        """Stabilizer row `row` (< L) of a signed state as a PauliString."""
-        L = self.num_qubits
-        if value is None:
-            value = self._rows_int()[row]
-        return PauliString(L, value & ((1 << L) - 1), value >> L, -1 if self._neg[row] else 1)
-
     @property
     def generators(self) -> Tuple[PauliString, ...]:
         self._require_signs("generators")
-        rows = self._rows_int()
-        return tuple(self._row_pauli(j, rows[j]) for j in self._stabilizer_pairs())
+        L = self.num_qubits
+        return tuple(
+            PauliString(L, row & ((1 << L) - 1), row >> L, -1 if neg else 1)
+            for row, neg in self._signed_rows()
+        )
 
     def _signed_rows(self) -> List[Tuple[int, int]]:
         """(row, sign bit) per generator; the sign bit is 0 on unsigned states."""
@@ -308,14 +304,11 @@ class StabilizerState:
         mask = 0
         for t in targets:
             mask |= 1 << int(t)
-        if self._neg is not None:
-            rows = self._rows_int()
-            src = self._row_pauli(source, rows[source])
+        neg = self._neg
+        if neg is not None:
+            rows, L = self._rows_int(), self.num_qubits
             for t in _bit_indices(mask & self._stab):
-                _, k = phase_product(src, self._row_pauli(t, rows[t]))
-                if k % 2:
-                    raise AssertionError("row multiplication hit an anticommuting pair")
-                self._neg[t] = k >> 1
+                neg[t] = _product_sign(L, rows[source], neg[source], rows[t], neg[t])
         _xor_row(self._cols, source, mask)
 
     # -- serialization -------------------------------------------------------
