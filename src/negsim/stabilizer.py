@@ -112,7 +112,7 @@ def _clear_row(cols: np.ndarray, row: int) -> None:
 def _fold_rows(cols: np.ndarray, sources: int, target: int) -> None:
     """row_target ^= XOR of the rows set in the int mask `sources`."""
     hit = cols & _int_to_words(sources, cols.shape[0])[:, None]
-    parity = (np.bitwise_count(hit).sum(axis=0) & 1).astype(np.uint64)
+    parity = (np.bitwise_count(hit).sum(axis=0) & 1).astype(np.uint64)  # numpy >= 2.0
     cols[target >> 6] ^= parity << _SHIFT[target & 63]
 
 
@@ -160,10 +160,8 @@ class StabilizerState:
         return state
 
     @classmethod
-    def _from_rows(
-        cls, L: int, gens: Sequence[int], signs: Optional[Sequence[int]]
-    ) -> "StabilizerState":
-        """Stabilizers in pairs 0..k-1, completed to a full symplectic basis.
+    def _from_rows(cls, L: int, gens: Sequence[int], signs: Sequence[int]) -> "StabilizerState":
+        """Signed stabilizers in pairs 0..k-1, completed to a full symplectic basis.
 
         Raises ValueError naming the first violation: too many, non-commuting
         or dependent generators.
@@ -182,25 +180,9 @@ class StabilizerState:
             rows[j], rows[L + j] = s, d
         for j, (a, b) in enumerate(logicals, start=k):
             rows[j], rows[L + j] = a, b
-        neg = None
-        if signs is not None:
-            neg = np.zeros(L, dtype=np.uint8)
-            neg[:k] = signs
+        neg = np.zeros(L, dtype=np.uint8)
+        neg[:k] = signs
         return cls._from_basis(L, rows, (1 << k) - 1, neg)
-
-    @classmethod
-    def _from_arrays(cls, x, z, neg=None) -> "StabilizerState":
-        """Build from (k, L) 0/1 generator arrays; neg=None gives an unsigned state."""
-        x = np.asarray(x)
-        z = np.asarray(z)
-        if x.shape != z.shape or x.ndim != 2:
-            raise ValueError("x and z must be (k, L) arrays of the same shape")
-        if x.size and (x.max() > 1 or z.max() > 1 or x.min() < 0 or z.min() < 0):
-            raise ValueError("mask entries outside {0,1}")
-        L = x.shape[1]
-        rows = bits_to_int_rows(np.concatenate([x, z], axis=1).astype(np.uint8))
-        signs = None if neg is None else [int(v) & 1 for v in np.asarray(neg)]
-        return cls._from_rows(L, rows, signs)
 
     def copy(self) -> "StabilizerState":
         state = StabilizerState.__new__(StabilizerState)
@@ -220,14 +202,8 @@ class StabilizerState:
     def num_generators(self) -> int:
         return self._stab.bit_count()
 
-    def _stabilizer_mask(self) -> np.ndarray:
-        """(L,) bool: which pairs hold a stabilizer."""
-        L = self.num_qubits
-        raw = np.frombuffer(self._stab.to_bytes((L + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little", count=L).view(bool)
-
     def _stabilizer_pairs(self) -> List[int]:
-        return np.flatnonzero(self._stabilizer_mask()).tolist()
+        return _bit_indices(self._stab)
 
     def _rows_int(self) -> List[int]:
         """All 2L tableau rows as 2L-bit ints x | z << L."""
@@ -243,7 +219,8 @@ class StabilizerState:
         L = self.num_qubits
         words = -(-L // 64)  # stabilizer rows all sit below L
         bits = _unpack_rows(self._cols[:words, columns])
-        return bits[:L][self._stabilizer_mask()]
+        raw = np.frombuffer(self._stab.to_bytes(8 * words, "little"), dtype=np.uint8)
+        return bits[np.unpackbits(raw, bitorder="little").view(bool)]
 
     @property
     def _x(self) -> np.ndarray:

@@ -127,29 +127,6 @@ def test_negativity_ghz_non_covering_split_is_zero():
     assert log_negativity(reduced, [1]) < 1e-12
 
 
-def test_negativity_non_covering_splits_match_dense_oracle():
-    from negsim.oracle import dense_split_negativity
-
-    rng = make_rng(4242)
-    checked = 0
-    for seed in range(16):
-        L = 5
-        state = random_monitored_state(L, seed=seed + 700, layers=4)
-        dense = DenseState.from_stabilizer(state)
-        for _ in range(4):
-            labels = rng.integers(3, size=L)
-            a = [s for s in range(L) if labels[s] == 0]
-            b = [s for s in range(L) if labels[s] == 1]
-            if not a or not b:
-                continue
-            bp = Bipartition(a, b)
-            e = negativity(state, bp)
-            assert abs(e - dense_split_negativity(dense, a, b)) < 1e-9
-            assert 2 * e <= mutual_information(state, bp) + 1e-9
-            checked += 1
-    assert checked > 30
-
-
 def test_negativity_symmetric_under_region_swap():
     for seed in range(8):
         state = random_monitored_state(5, seed=seed + 40, layers=4)

@@ -73,9 +73,7 @@ def test_validate_detects_violations():
     # generator lists that cannot be completed, with the message validate
     # gives for the same violation.
     with pytest.raises(ValueError, match="too many"):
-        StabilizerState._from_arrays(
-            np.zeros((3, 2), np.uint8), np.eye(3, 2, dtype=np.uint8), np.zeros(3, np.uint8)
-        )
+        StabilizerState(2, [PauliString.from_label(s) for s in ("+ZI", "+IZ", "+II")])
 
     with pytest.raises(ValueError, match="non-commuting"):
         StabilizerState(2, [PauliString.from_label("+XI"), PauliString.from_label("+ZI")])
@@ -90,10 +88,10 @@ def test_validate_detects_violations():
             ],
         )
 
-    with pytest.raises(ValueError, match="entries"):
-        StabilizerState._from_arrays(
-            np.full((1, 2), 2, np.uint8), np.zeros((1, 2), np.uint8), np.zeros(1, np.uint8)
-        )
+    # Packed bits are 0 or 1 by construction; a sign entry can still be corrupted.
+    bad_entries = product_state(2)
+    bad_entries._neg[0] = 2
+    assert "entries" in validate(bad_entries)
 
     # validate checks the whole basis of a state object: S_j pairs only with D_j.
     anti = product_state(2)
