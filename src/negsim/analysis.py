@@ -1,22 +1,27 @@
 """Statistics over circuit sweeps: power-law fits, finite-size collapse,
 and reproducible figure-data pipelines.
 
-Every CSV written here embeds the generating configuration and its hash in
-a leading comment line; floats carry 9 significant digits.
+A sweep CSV leads with the generating configuration and its hash
+(circuit._config_line); a figure file leads with a `# figure=... params=...`
+note. Floats carry 9 significant digits.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .circuit import CircuitConfig, MonteCarloResult, monte_carlo
+from .circuit import CircuitConfig, _config_line, _write_lines, monte_carlo
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "power_law_fit",
@@ -265,8 +270,9 @@ class SweepSpec:
     observables_every: int = 1
 
     def __post_init__(self):
-        if not self.L_values or not self.p_values:
+        if len(self.L_values) == 0 or len(self.p_values) == 0:
             raise ValueError("L_values and p_values must be non-empty")
+        self.configs()  # validate every cell eagerly
 
     def configs(self) -> List[CircuitConfig]:
         return [
@@ -313,23 +319,30 @@ class SweepResult:
         ]
 
     def curves(self, observable: str) -> List[Curve]:
-        out = []
-        for L in sorted({c.L for c in self.cells}):
-            rows = sorted((c.p, c) for c in self.cells if c.L == L)
-            out.append(
-                Curve(
-                    L=L,
-                    p=np.array([p for p, _ in rows]),
-                    y=np.array([c.late_mean[observable] for _, c in rows]),
-                    stderr=np.array([c.late_stderr[observable] for _, c in rows]),
-                )
-            )
-        return out
+        return _curves(
+            (c.L, c.p, c.late_mean[observable], c.late_stderr[observable])
+            for c in self.cells
+        )
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1, verbose: bool = False) -> SweepResult:
+def _curves(points: Iterable[Tuple[int, float, float, float]]) -> List[Curve]:
+    """One Curve per L, in increasing L, from (L, p, y, stderr) points."""
+    by_L: Dict[int, List[Tuple[float, float, float]]] = {}
+    for L, p, y, err in points:
+        by_L.setdefault(L, []).append((p, y, err))
+    curves = []
+    for L in sorted(by_L):
+        p, y, err = (np.array(col) for col in zip(*by_L[L]))
+        curves.append(Curve(L=L, p=p, y=y, stderr=err))
+    return curves
+
+
+def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
+    """Monte Carlo over every (L, p) cell; logs one INFO line per cell."""
+    configs = spec.configs()
     cells = []
-    for cfg in spec.configs():
+    for n, cfg in enumerate(configs, 1):
+        start = time.perf_counter()
         mc = monte_carlo(cfg, threads=threads)
         cells.append(
             SweepCell(
@@ -341,82 +354,76 @@ def run_sweep(spec: SweepSpec, threads: int = 1, verbose: bool = False) -> Sweep
                 late_stderr=mc.late_stderr,
             )
         )
-        if verbose:
-            print(
-                f"L={cfg.L} p={cfg.p:.4g}: E={mc.late_mean['E']:.4g}"
-                f" I={mc.late_mean['I']:.4g} stationary={mc.stationarity.passed}"
-            )
+        log.info(
+            "cell %d/%d L=%d p=%.4g: E=%.4g I=%.4g stationary=%s (%.1f s)",
+            n, len(configs), cfg.L, cfg.p, mc.late_mean["E"], mc.late_mean["I"],
+            mc.stationarity.passed, time.perf_counter() - start,
+        )
     return SweepResult(spec, cells)
 
 
 _SWEEP_COLUMNS = "L,p,observable,late_mean,late_stderr,samples,stationary"
 
 
-def _spec_header(spec: SweepSpec) -> str:
-    d = {
-        "L_values": list(spec.L_values),
-        "p_values": list(spec.p_values),
-        "seed": spec.seed,
-        "samples": spec.samples,
-        "T": spec.T,
-        "dephasing_schedule": spec.dephasing_schedule,
-        "observables_every": spec.observables_every,
-    }
-    blob = json.dumps(d, sort_keys=True)
-    digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
-    return f"# config_hash={digest} config={blob}"
-
-
 def write_sweep_csv(result: SweepResult, path) -> None:
-    lines = [_spec_header(result.spec), _SWEEP_COLUMNS]
+    spec = asdict(result.spec)
+    for key in ("L_values", "p_values"):  # json encodes neither an ndarray nor np.int64
+        spec[key] = [v.item() if isinstance(v, np.generic) else v for v in spec[key]]
+    lines = [_config_line(spec), _SWEEP_COLUMNS]
     for c in result.cells:
         for name in sorted(c.late_mean):
             lines.append(
                 f"{c.L},{c.p:.9g},{name},{c.late_mean[name]:.9g},"
                 f"{c.late_stderr[name]:.9g},{c.samples},{int(c.stationary)}"
             )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
+
+
+_SWEEP_TYPES = {
+    "L": int, "p": float, "late_mean": float, "late_stderr": float, "samples": int,
+    "stationary": lambda v: bool(int(v)),
+}
 
 
 def read_sweep_csv(path) -> List[Dict]:
-    """Rows as dicts with typed fields; comment lines are skipped."""
+    """Rows as dicts with typed fields; comment lines are skipped.
+
+    A header without a sweep column, a row whose width differs from the
+    header's, or a field that does not parse raises ValueError naming the
+    file and line.
+    """
     rows = []
+    header: Optional[List[str]] = None
     with open(path) as fh:
-        header: Optional[List[str]] = None
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if header is None:
-                header = line.split(",")
-                continue
             parts = line.split(",")
-            row = dict(zip(header, parts))
-            row["L"] = int(row["L"])
-            row["p"] = float(row["p"])
-            row["late_mean"] = float(row["late_mean"])
-            row["late_stderr"] = float(row["late_stderr"])
-            row["samples"] = int(row["samples"])
-            row["stationary"] = bool(int(row["stationary"]))
-            rows.append(row)
+            try:
+                if header is None:
+                    missing = [c for c in _SWEEP_COLUMNS.split(",") if c not in parts]
+                    if missing:
+                        raise ValueError(f"header lacks columns {missing}")
+                    header = parts
+                    continue
+                if len(parts) != len(header):
+                    raise ValueError(f"{len(parts)} fields, header has {len(header)}")
+                row = dict(zip(header, parts))
+                for key, parse in _SWEEP_TYPES.items():
+                    row[key] = parse(row[key])
+                rows.append(row)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 
 def sweep_rows_to_curves(rows: List[Dict], observable: str) -> List[Curve]:
-    picked = [r for r in rows if r["observable"] == observable]
-    curves = []
-    for L in sorted({r["L"] for r in picked}):
-        mine = sorted((r["p"], r) for r in picked if r["L"] == L)
-        curves.append(
-            Curve(
-                L=L,
-                p=np.array([p for p, _ in mine]),
-                y=np.array([r["late_mean"] for _, r in mine]),
-                stderr=np.array([r["late_stderr"] for _, r in mine]),
-            )
-        )
-    return curves
+    return _curves(
+        (r["L"], r["p"], r["late_mean"], r["late_stderr"])
+        for r in rows
+        if r["observable"] == observable
+    )
 
 
 # -- figure reproduction --------------------------------------------------------------
@@ -468,14 +475,13 @@ def reproduce_figure(
 
     def emit(filename: str, lines: List[str]) -> None:
         path = os.path.join(out_dir, f"{name}_{scale}_{filename}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(path, [note] + lines)
         written.append(path)
 
     note = f"# figure={name} scale={scale} seed={seed} params={json.dumps(params, sort_keys=True)}"
 
     if name == "fig3":
-        written.extend(_reproduce_fig3(params, note, out_dir, name, scale, seed))
+        emit("histogram.csv", _fig3_histogram(params["L"], params["samples"], seed))
         return written
 
     spec = SweepSpec(
@@ -483,43 +489,32 @@ def reproduce_figure(
     )
     result = run_sweep(spec, threads=threads)
 
-    if name == "fig1b":
-        lines = [note, "L,p,mean_E,stderr_E"]
-        for c in result.cells:
-            lines.append(
-                f"{c.L},{c.p:.9g},{c.late_mean['E']:.9g},{c.late_stderr['E']:.9g}"
-            )
-        emit("curves.csv", lines)
-    else:
-        observable = "E" if name == "fig1b_inset" else "I"
-        lines = [note, f"L,p,mean_{observable},stderr_{observable}"]
-        for c in result.cells:
-            lines.append(
-                f"{c.L},{c.p:.9g},{c.late_mean[observable]:.9g},{c.late_stderr[observable]:.9g}"
-            )
-        emit("curves.csv", lines)
-        if name in ("fig1b_inset", "supp_mi"):
-            points = result.fit_points(observable, params["p"][0])
-            c1, c2, r2 = power_law_fit(points)
-            emit(
-                "fit.csv",
-                [note, "c1,c2,r_squared", f"{c1:.9g},{c2:.9g},{r2:.9g}"],
-            )
-        if name == "supp_collapse":
-            fit = optimize_collapse(result.curves("I"))
-            emit(
-                "collapse.csv",
-                [note, "p_c,nu,objective", f"{fit.p_c:.9g},{fit.nu:.9g},{fit.objective:.9g}"],
-            )
+    observable = "E" if name in ("fig1b", "fig1b_inset") else "I"
+    lines = [f"L,p,mean_{observable},stderr_{observable}"]
+    for c in result.cells:
+        lines.append(
+            f"{c.L},{c.p:.9g},{c.late_mean[observable]:.9g},{c.late_stderr[observable]:.9g}"
+        )
+    emit("curves.csv", lines)
+    if name in ("fig1b_inset", "supp_mi"):
+        points = result.fit_points(observable, params["p"][0])
+        c1, c2, r2 = power_law_fit(points)
+        emit("fit.csv", ["c1,c2,r_squared", f"{c1:.9g},{c2:.9g},{r2:.9g}"])
+    if name == "supp_collapse":
+        fit = optimize_collapse(result.curves("I"))
+        emit(
+            "collapse.csv",
+            ["p_c,nu,objective", f"{fit.p_c:.9g},{fit.nu:.9g},{fit.objective:.9g}"],
+        )
     return written
 
 
-def _reproduce_fig3(params, note, out_dir, name, scale, seed) -> List[str]:
+def _fig3_histogram(L: int, samples: int, seed: int) -> List[str]:
+    """Mean count of stabilizer lengths 1..L with and without bulk baths."""
     from .circuit import run_trajectory
     from .entanglement import length_distribution
 
-    L, samples = params["L"], params["samples"]
-    lines = [note, "series,length,mean_count"]
+    lines = ["series,length,mean_count"]
     for offset, (series, schedule) in enumerate(
         (("with_baths", "random_sites(2)"), ("without_baths", "random_sites(0)"))
     ):
@@ -539,7 +534,4 @@ def _reproduce_fig3(params, note, out_dir, name, scale, seed) -> List[str]:
         for length in range(1, L + 1):
             if counts[length] > 0:
                 lines.append(f"{series},{length},{counts[length]:.9g}")
-    path = os.path.join(out_dir, f"{name}_{scale}_histogram.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return [path]
+    return lines

@@ -259,14 +259,22 @@ def _gate_from_class(sym_index: int, sign_bits: int) -> CliffordGate:
     return CliffordGate(images)
 
 
+def _gate_maps(masks: np.ndarray) -> np.ndarray:
+    """(m, 4, 2) image masks (x_mask, z_mask) -> (m, 4, 4) uint64 GF(2) maps.
+
+    Entry [g, a, b] is all ones when the image of local basis pattern 1 << a
+    (x_i, z_i, x_j, z_j) has bit b, else zero. That image is images[a], and
+    its pattern bits are (x & 1, z & 1, x >> 1, z >> 1).
+    """
+    x, z = masks[..., 0], masks[..., 1]
+    bits = np.stack([x & 1, z & 1, x >> 1, z >> 1], axis=-1)
+    return np.uint64(0) - bits.astype(np.uint64)
+
+
 @lru_cache(maxsize=1)
-def _class_tables() -> Tuple[np.ndarray, np.ndarray]:
-    """Stacked sign-free conjugation tables for all 720 classes."""
-    out = np.zeros((720, 16), dtype=np.uint8)
-    flip = np.zeros((720, 16), dtype=np.uint8)
-    for idx in range(720):
-        out[idx], flip[idx] = _conjugation_table(_gate_from_class(idx, 0))
-    return out, flip
+def _class_tables() -> np.ndarray:
+    """The sign-free gate maps of all 720 classes, shape (720, 4, 4)."""
+    return _gate_maps(_symplectic_images_table())
 
 
 def sample_two_qubit_clifford(rng: Rng) -> CliffordGate:
@@ -284,23 +292,6 @@ def _check_site(state: StabilizerState, site: int):
         raise ValueError(f"site {site} out of range for L={state.num_qubits}")
 
 
-def _gate_maps(table_out: np.ndarray) -> np.ndarray:
-    """(m, 16) conjugation tables -> (m, 4, 4) uint64 masks of the GF(2) maps.
-
-    Entry [g, a, b] is all ones when the image of local basis pattern 1 << a
-    (x_i, z_i, x_j, z_j) has bit b, else zero.
-    """
-    images = table_out[:, [1, 2, 4, 8]]
-    bits = (images[:, :, None] >> np.arange(4, dtype=np.uint8)) & 1
-    return np.uint64(0) - bits.astype(np.uint64)
-
-
-@lru_cache(maxsize=1)
-def _class_maps() -> np.ndarray:
-    """GF(2) gate maps for all 720 classes, built on first use from _class_tables."""
-    return _gate_maps(_class_tables()[0])
-
-
 def apply_clifford(state: StabilizerState, gate: CliffordGate, i: int, j: int) -> StabilizerState:
     """Conjugate every generator by the gate acting on sites (i, j)."""
     _check_site(state, i)
@@ -308,9 +299,9 @@ def apply_clifford(state: StabilizerState, gate: CliffordGate, i: int, j: int) -
     if i == j:
         raise ValueError("gate sites must differ")
     out = state.copy()
-    table_out, table_flip = _conjugation_table(gate)
-    flips = table_flip[None, :] if out.signed else None
-    _apply_tables_inplace(out, _gate_maps(table_out[None, :]), [i], [j], flips)
+    masks = np.array([[(g.x_mask, g.z_mask) for g in gate.images]], dtype=np.uint8)
+    flips = _conjugation_table(gate)[1][None, :] if out.signed else None
+    _apply_tables_inplace(out, _gate_maps(masks), [i], [j], flips)
     return out
 
 

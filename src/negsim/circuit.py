@@ -19,17 +19,19 @@ one of these draws is made.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import re
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .channels import (
     _apply_tables_inplace,
-    _class_maps,
+    _class_tables,
     _dephase_inplace,
     _measure_z_inplace,
     trajectory_rng,
@@ -103,15 +105,10 @@ class CircuitConfig:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "CircuitConfig":
-        allowed = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        return _config_from_dict(cls, d)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return _digest(json.dumps(self.to_dict(), sort_keys=True))
 
 
 @dataclass
@@ -138,7 +135,7 @@ def run_trajectory(
     state = product_state(L, signed=False)  # no recorded observable reads a sign
     bp = Bipartition.contiguous_halves(L)
     kind, param = cfg.schedule()
-    maps = _class_maps()
+    maps = _class_tables()
 
     times: List[int] = []
     records: List[ObservableRecord] = []
@@ -261,33 +258,80 @@ def monte_carlo(cfg: CircuitConfig, threads: int = 1) -> MonteCarloResult:
     )
 
 
-# -- CSV output ----------------------------------------------------------------
+# -- config and CSV files --------------------------------------------------------
+
+# the Python types each field annotation accepts; a bool is never a number
+_ACCEPTS = {
+    int: (int, np.integer),
+    float: (int, float, np.integer, np.floating),
+    str: (str,),
+    type(None): (type(None),),
+}
 
 
-def _config_header(cfg: CircuitConfig) -> str:
-    return f"# config_hash={cfg.config_hash()} config={json.dumps(cfg.to_dict(), sort_keys=True)}"
+def _has_type(value, hint) -> bool:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:  # Optional[...]
+        return any(_has_type(value, arg) for arg in args)
+    if origin is not None:  # Sequence[...]
+        seq = isinstance(value, (list, tuple, np.ndarray))
+        return seq and all(_has_type(v, args[0]) for v in value)
+    return isinstance(value, _ACCEPTS[hint]) and not isinstance(value, bool)
+
+
+def _config_from_dict(cls, d: Dict):
+    """Build the config dataclass cls (CircuitConfig, SweepSpec) from a dict.
+
+    Unknown keys and values of the wrong type for cls's field annotations
+    raise ValueError, which the CLI reports with exit code 2.
+    """
+    hints = typing.get_type_hints(cls)
+    unknown = set(d) - set(hints)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in d.items():
+        if not _has_type(value, hints[key]):
+            want = inspect.formatannotation(hints[key])
+            raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+    return cls(**d)
+
+
+def _digest(blob: str) -> str:
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _config_line(config: Dict) -> str:
+    """The `# config_hash=... config=...` first line of run and sweep CSVs."""
+    blob = json.dumps(config, sort_keys=True)
+    return f"# config_hash={_digest(blob)} config={blob}"
+
+
+def _write_lines(path, lines: Sequence[str]) -> None:
+    """Every file negsim writes goes through here: each entry of lines
+    becomes one newline-terminated line."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_summary_csv(result: MonteCarloResult, path) -> None:
     """Long-format table: L,p,t,observable,mean,stderr,samples."""
     cfg = result.config
-    lines = [_config_header(cfg), "L,p,t,observable,mean,stderr,samples"]
+    lines = [_config_line(cfg.to_dict()), "L,p,t,observable,mean,stderr,samples"]
     for row, t in enumerate(result.times):
         for col, name in enumerate(result.observables):
             lines.append(
                 f"{cfg.L},{cfg.p:.9g},{t},{name},"
                 f"{result.mean[row, col]:.9g},{result.stderr[row, col]:.9g},{result.samples}"
             )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_trajectory_csv(results: List[TrajectoryResult], cfg: CircuitConfig, path) -> None:
     """Per-trajectory rows: trajectory_id,time,S_A,S_B,S_AB,E,I,purity_log2."""
-    lines = [_config_header(cfg), "trajectory_id,time," + ",".join(ObservableRecord.FIELDS)]
+    columns = "trajectory_id,time," + ",".join(ObservableRecord.FIELDS)
+    lines = [_config_line(cfg.to_dict()), columns]
     for res in results:
         for rec in res.records:
             vals = ",".join(f"{v:.9g}" for v in rec.values())
             lines.append(f"{res.trajectory_id},{rec.time},{vals}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

@@ -7,21 +7,39 @@ acceptance-style check (oracle mismatch, missing permutation witness).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import logging
 import sys
 from typing import List, Optional
 
-import numpy as np
+
+def _config_from_args(cls, args):
+    """cls (CircuitConfig or SweepSpec) from the --config JSON file, if any,
+    overridden by the flags named after cls's fields; explicit flags win."""
+    from .circuit import _config_from_dict
+
+    merged = {}
+    if args.config:
+        with open(args.config) as fh:
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
+            raise ValueError("config file must hold a JSON object")
+    for f in dataclasses.fields(cls):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            merged[f.name] = value
+    return _config_from_dict(cls, merged)
 
 
-def _load_config_file(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
+def _emit(lines: List[str], out: Optional[str]) -> int:
+    """Print the table and, with --out, write it there too."""
+    from .circuit import _write_lines
+
+    print("\n".join(lines))
+    if out:
+        _write_lines(out, lines)
+    return 0
 
 
 def _int_list(text: str) -> List[int]:
@@ -105,13 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     from .circuit import CircuitConfig, monte_carlo, write_summary_csv
 
-    fields = ("L", "p", "T", "seed", "dephasing_schedule", "samples", "observables_every")
-    merged = _load_config_file(args.config)
-    for name in fields:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    cfg = CircuitConfig.from_dict(merged)
+    cfg = _config_from_args(CircuitConfig, args)
     result = monte_carlo(cfg, threads=args.threads)
     write_summary_csv(result, args.out)
     print(f"wrote {args.out} (stationary={result.stationarity.passed})")
@@ -121,14 +133,11 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     from .analysis import SweepSpec, run_sweep, write_sweep_csv
 
-    fields = ("L_values", "p_values", "T", "seed", "dephasing_schedule", "samples", "observables_every")
-    merged = _load_config_file(args.config)
-    for name in fields:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    spec = SweepSpec(**merged)
-    result = run_sweep(spec, threads=args.threads, verbose=args.verbose)
+    spec = _config_from_args(SweepSpec, args)
+    if args.verbose:  # one line per cell on stderr
+        logging.basicConfig(format="%(message)s")
+        logging.getLogger("negsim").setLevel(logging.INFO)
+    result = run_sweep(spec, threads=args.threads)
     write_sweep_csv(result, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -151,11 +160,7 @@ def _cmd_fit(args) -> int:
         "c1,c2,r_squared,preferred_model",
         f"{c1:.9g},{c2:.9g},{r2:.9g},{comparison.preferred}",
     ]
-    print("\n".join(lines))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return 0
+    return _emit(lines, args.out)
 
 
 def _cmd_collapse(args) -> int:
@@ -164,11 +169,7 @@ def _cmd_collapse(args) -> int:
     curves = sweep_rows_to_curves(read_sweep_csv(args.infile), args.observable)
     fit = optimize_collapse(curves)
     lines = ["p_c,nu,objective", f"{fit.p_c:.9g},{fit.nu:.9g},{fit.objective:.9g}"]
-    print("\n".join(lines))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return 0
+    return _emit(lines, args.out)
 
 
 def _cmd_polymer(args) -> int:
@@ -187,11 +188,7 @@ def _cmd_polymer(args) -> int:
             f"# fit: s0={scan.s0:.9g} s1={scan.s1:.9g} two_beta={scan.two_beta:.9g}"
             f" r2_mean={scan.r2_mean:.9g} r2_var={scan.r2_var:.9g}"
         )
-    print("\n".join(lines))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return 0
+    return _emit(lines, args.out)
 
 
 def _cmd_permcheck(args) -> int:

@@ -6,47 +6,17 @@ elimination a single XOR per row operation regardless of width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Gf2Matrix",
-    "gf2_rank",
     "rank_int_rows",
     "solve_int_rows",
     "in_rowspan",
     "bits_to_int_rows",
     "parity_matmul",
 ]
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Bit-packed row-major binary matrix."""
-
-    rows: tuple
-    cols: int
-
-    @classmethod
-    def from_int_rows(cls, rows: Iterable[int], cols: int) -> "Gf2Matrix":
-        rows = tuple(int(r) for r in rows)
-        if any(r < 0 or r >> cols for r in rows):
-            raise ValueError("row has bits beyond the declared column count")
-        return cls(rows, cols)
-
-    @classmethod
-    def from_dense(cls, array) -> "Gf2Matrix":
-        """Build from a 2-D 0/1 array (row-major, column j -> bit j)."""
-        arr = np.asarray(array, dtype=np.uint8) & 1
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        return cls(tuple(bits_to_int_rows(arr)), arr.shape[1])
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
 
 
 def rank_int_rows(rows: Sequence[int]) -> int:
@@ -59,10 +29,6 @@ def rank_int_rows(rows: Sequence[int]) -> int:
             pivots[row.bit_length() - 1] = row
             rank += 1
     return rank
-
-
-def gf2_rank(m: Gf2Matrix) -> int:
-    return rank_int_rows(m.rows)
 
 
 def _reduce(row: int, pivots: dict) -> int:

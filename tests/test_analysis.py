@@ -1,10 +1,13 @@
 """Fits, finite-size collapse, sweep bookkeeping, and figure pipelines."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from negsim.analysis import (
     Curve,
+    SweepResult,
     SweepSpec,
     _cell_seed,
     _FIG_SCALES,
@@ -174,6 +177,20 @@ def test_sweep_spec_configs():
     assert all(c.samples == 5 and c.T == 8 for c in cfgs)
     with pytest.raises(ValueError):
         SweepSpec(L_values=[], p_values=[0.1])
+    with pytest.raises(ValueError, match="L must be even"):
+        SweepSpec(L_values=[4, 5], p_values=[0.1])  # cells are checked up front
+    with pytest.raises(ValueError, match="schedule"):
+        SweepSpec(L_values=[4], p_values=[0.1], dephasing_schedule="bogus")
+
+
+def test_run_sweep_logs_one_line_per_cell(caplog):
+    spec = SweepSpec(L_values=[4, 6], p_values=[0.1, 0.2], seed=1, samples=1, T=4)
+    with caplog.at_level(logging.INFO, logger="negsim.analysis"):
+        run_sweep(spec)
+    records = [r for r in caplog.records if r.name == "negsim.analysis"]
+    assert len(records) == 4
+    assert records[0].getMessage().startswith("cell 1/4 L=4 p=0.1:")
+    assert all(r.levelno == logging.INFO for r in records)
 
 
 def test_run_sweep_and_csv_round_trip(tmp_path):
@@ -206,6 +223,37 @@ def test_run_sweep_and_csv_round_trip(tmp_path):
     curves = sweep_rows_to_curves(rows, "E")
     assert [c.L for c in curves] == [4, 6]
     assert curves[0].p.tolist() == [0.1, 0.3]
+
+
+def test_sweep_csv_header_ignores_sequence_type(tmp_path):
+    headers = set()
+    for L_values, p_values in (
+        ([8, 12], [0.1, 0.2]),
+        ((8, 12), (0.1, 0.2)),
+        (np.array([8, 12]), np.array([0.1, 0.2])),
+    ):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(SweepResult(SweepSpec(L_values, p_values, seed=11, samples=4), []), path)
+        headers.add(path.read_text().split("\n")[0])
+    assert headers == {
+        '# config_hash=3b54cadac500 config={"L_values": [8, 12], "T": null, '
+        '"dephasing_schedule": "boundary_even_steps", "observables_every": 1, '
+        '"p_values": [0.1, 0.2], "samples": 4, "seed": 11}'
+    }
+
+
+def test_read_sweep_csv_names_file_and_line(tmp_path):
+    path = tmp_path / "sweep.csv"
+    header = "L,p,observable,late_mean,late_stderr,samples,stationary"
+    path.write_text(f"# comment\n{header}\n4,0.1,E,0.5,0.1,3,1\n4,0.2,E,0.5\n")
+    with pytest.raises(ValueError, match=f"{path}:4: 4 fields, header has 7"):
+        read_sweep_csv(path)
+    path.write_text(f"{header}\n4,0.1,E,half,0.1,3,1\n")
+    with pytest.raises(ValueError, match=f"{path}:2: could not convert"):
+        read_sweep_csv(path)
+    path.write_text("L,p,observable,late_mean\n")
+    with pytest.raises(ValueError, match=r":1: header lacks columns \['late_stderr'"):
+        read_sweep_csv(path)
 
 
 def test_sweep_result_curves_match_cells():

@@ -7,7 +7,7 @@ import pytest
 
 from negsim.channels import (
     _apply_tables_inplace,
-    _class_maps,
+    _class_tables,
     _gate_from_class,
     apply_clifford,
     make_rng,
@@ -66,6 +66,17 @@ def test_config_dict_round_trip_and_hash():
     assert len(cfg.config_hash()) == 12
 
 
+@pytest.mark.parametrize("key,value", [
+    ("L", "16"), ("L", 16.0), ("p", True), ("T", "64"), ("dephasing_schedule", 2),
+])
+def test_config_from_dict_rejects_wrong_types(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+        CircuitConfig.from_dict({"L": 16, "p": 0.1, key: value})
+    # JSON numbers: an int is a valid float, numpy scalars are accepted
+    cfg = CircuitConfig.from_dict({"L": np.int64(16), "p": 0, "T": None})
+    assert cfg == CircuitConfig(L=16, p=0.0)
+
+
 def test_steps_default():
     assert CircuitConfig(L=10, p=0.1).steps == 40
     assert CircuitConfig(L=10, p=0.1, T=7).steps == 7
@@ -85,7 +96,7 @@ def test_vectorized_layer_matches_sequential_gates():
     # tableau at once; check every tableau row (stabilizers, destabilizers)
     # against one-gate-at-a-time signed application of the sampled gates
     rng = make_rng(97)
-    maps = _class_maps()
+    maps = _class_tables()
     for trial in range(50):
         L = 8
         state = product_state(L, signed=False)

@@ -1,8 +1,11 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +65,37 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
 
 
+SWEEP_HEADER = "L,p,observable,late_mean,late_stderr,samples,stationary"
+BAD_INPUTS = {
+    "sweep_unknown_key": (
+        "cfg.json", json.dumps({"L_values": [4], "p_values": [0.1], "banana": 1}),
+        ["sweep", "--config", "{path}", "--out", "{out}"],
+    ),
+    "run_string_L": (
+        "cfg.json", json.dumps({"L": "16", "p": 0.1}),
+        ["run", "--config", "{path}", "--out", "{out}"],
+    ),
+    "fit_missing_column": (
+        "sweep.csv", "L,p,observable,late_mean,samples,stationary\n4,0.1,E,0.5,3,1\n",
+        ["fit", "--in", "{path}", "--p", "0.1"],
+    ),
+    "fit_short_row": (
+        "sweep.csv", f"{SWEEP_HEADER}\n4,0.1,E,0.5,0.1,3,1\n6,0.1,E,0.5\n",
+        ["fit", "--in", "{path}", "--p", "0.1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_config_or_csv_exits_2(case, tmp_path, capsys):
+    filename, text, argv = BAD_INPUTS[case]
+    path = tmp_path / filename
+    path.write_text(text)
+    fill = {"path": str(path), "out": str(tmp_path / "out.csv")}
+    assert main([arg.format(**fill) for arg in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["run", "--L", "6", "--p", "0.2"])  # no --out
@@ -91,6 +125,22 @@ def test_sweep_and_fit_pipeline(tmp_path, capsys):
     # too few sizes at the requested p
     code = main(["fit", "--in", str(sweep_out), "--p", "0.9"])
     assert code == 2
+
+
+def test_sweep_verbose_logs_each_cell_to_stderr(tmp_path):
+    # a fresh interpreter, so the logging set-up is the command's own
+    src = str(Path(negsim.analysis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "negsim.cli", "sweep", "--L", "4,6", "--p", "0.1",
+         "--T", "4", "--samples", "1", "--verbose", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    cells = [line for line in proc.stderr.splitlines() if line.startswith("cell ")]
+    assert [line.split(" L=")[0] for line in cells] == ["cell 1/2", "cell 2/2"]
+    assert "cell" not in proc.stdout
 
 
 def test_fit_missing_file_exits_2(tmp_path, capsys):

@@ -3,12 +3,9 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from negsim.gf2 import (
-    Gf2Matrix,
     bits_to_int_rows,
-    gf2_rank,
     in_rowspan,
     parity_matmul,
     rank_int_rows,
@@ -99,14 +96,3 @@ def test_parity_matmul_matches_integer_arithmetic():
         got = parity_matmul(a, b)
         assert got.dtype == np.uint8
         assert np.array_equal(got, expect.astype(np.uint8))
-
-
-def test_gf2_matrix_constructors_and_rank():
-    dense = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]], dtype=np.uint8)
-    m = Gf2Matrix.from_dense(dense)
-    assert m.cols == 3 and m.num_rows == 3
-    assert gf2_rank(m) == 2
-    same = Gf2Matrix.from_int_rows(bits_to_int_rows(dense), 3)
-    assert same == m
-    with pytest.raises(ValueError):
-        Gf2Matrix.from_int_rows([0b1000], 3)

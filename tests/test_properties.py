@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from negsim.channels import (
     _apply_tables_inplace,
-    _class_maps,
+    _class_tables,
     _dephase_inplace,
     _gate_from_class,
     _measure_z_inplace,
@@ -100,7 +100,7 @@ def test_unsigned_runner_path_tracks_signed_path(L, ops):
     # signed public functions, and draw the same random numbers
     signed = product_state(L)
     unsigned = product_state(L, signed=False)
-    maps = _class_maps()
+    maps = _class_tables()
     for op in ops:
         if op[0] == "gate":
             i = op[3] % (L - 1)
