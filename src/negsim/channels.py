@@ -27,12 +27,12 @@ from .gf2 import solve_int_rows  # noqa: F401
 from .pauli import PauliString, commutes, phase_product
 from .stabilizer import (
     StabilizerState,
+    _anticommuting_rows,
     _bit_indices,
-    _clear_row,
+    _collapse_rows,
     _fold_rows,
+    _multiply,
     _product_sign,
-    _write_row,
-    _xor_row,
 )
 
 __all__ = [
@@ -206,34 +206,28 @@ def hadamard_on_first() -> CliffordGate:
 
 
 @lru_cache(maxsize=16384)
-def _conjugation_table(gate: CliffordGate) -> Tuple[np.ndarray, np.ndarray]:
-    """(out, flip): local pattern idx = x_i + 2 z_i + 4 x_j + 8 z_j -> image
-    pattern and sign-flip bit. Built by multiplying images factor by factor."""
+def _conjugation_flips(gate: CliffordGate) -> np.ndarray:
+    """Sign-flip bit per local pattern idx = x_i + 2 z_i + 4 x_j + 8 z_j.
+
+    Built by multiplying the images factor by factor; the image patterns
+    themselves come from _gate_maps.
+    """
     base = [PauliString.identity(2)] * 16
     exponent = [0] * 16
     for idx in range(1, 16):
         low = idx & -idx
         factor = gate.images[low.bit_length() - 1]
-        rest_base, rest_k = base[idx ^ low], exponent[idx ^ low]
-        prod, dk = phase_product(factor, rest_base)
+        prod, dk = phase_product(factor, base[idx ^ low])
         base[idx] = prod
-        exponent[idx] = (rest_k + dk) % 4
-    out = np.zeros(16, dtype=np.uint8)
+        exponent[idx] = (exponent[idx ^ low] + dk) % 4
     flip = np.zeros(16, dtype=np.uint8)
     for idx in range(16):
         xi, zi, xj, zj = idx & 1, (idx >> 1) & 1, (idx >> 2) & 1, (idx >> 3) & 1
         k = (exponent[idx] + (xi & zi) + (xj & zj)) % 4
         if k % 2:
             raise AssertionError("conjugated Pauli came out anti-Hermitian")
-        b = base[idx]
-        out[idx] = (
-            (b.x_mask & 1)
-            | ((b.z_mask & 1) << 1)
-            | (((b.x_mask >> 1) & 1) << 2)
-            | (((b.z_mask >> 1) & 1) << 3)
-        )
         flip[idx] = k >> 1
-    return out, flip
+    return flip
 
 
 @lru_cache(maxsize=1)
@@ -300,7 +294,7 @@ def apply_clifford(state: StabilizerState, gate: CliffordGate, i: int, j: int) -
         raise ValueError("gate sites must differ")
     out = state.copy()
     masks = np.array([[(g.x_mask, g.z_mask) for g in gate.images]], dtype=np.uint8)
-    flips = _conjugation_table(gate)[1][None, :] if out.signed else None
+    flips = _conjugation_flips(gate)[None, :] if out.signed else None
     _apply_tables_inplace(out, _gate_maps(masks), [i], [j], flips)
     return out
 
@@ -366,15 +360,11 @@ def _column_int(state: StabilizerState, column: int) -> int:
 def _measure_inplace(
     state: StabilizerState, h: PauliString, rng: Rng, need_outcome: bool
 ) -> Optional[int]:
-    """Measure any Pauli h: the rows anticommuting with it are the XOR of the
-    X columns of its Z sites and the Z columns of its X sites."""
+    """Measure any Pauli h."""
     L = state.num_qubits
-    columns = [s for s in range(L) if (h.z_mask >> s) & 1]
-    columns += [L + s for s in range(L) if (h.x_mask >> s) & 1]
-    anti = 0
-    for c in columns:
-        anti ^= _column_int(state, c)
-    return _collapse(state, anti, h.x_mask | (h.z_mask << L), h.sign, rng, need_outcome)
+    row = h.x_mask | (h.z_mask << L)
+    anti = _anticommuting_rows(state._cols, row, L)
+    return _collapse(state, anti, row, h.sign, rng, need_outcome)
 
 
 def _measure_z_inplace(
@@ -389,60 +379,23 @@ def _measure_z_inplace(
 def _collapse(
     state: StabilizerState, anti: int, h: int, h_sign: int, rng: Rng, need_outcome: bool
 ) -> Optional[int]:
-    """The one measurement update; anti marks the rows anticommuting with h.
+    """The one measurement update: stabilizer._collapse_rows, then the outcome.
 
-    (b) a stabilizer S_p anticommutes: multiply it into the other
-        anticommuting rows except D_p, then D_p <- S_p and S_p <- h.
-    (c) only logical rows anticommute: multiply the lowest, q, into the
-        others except its partner; q becomes the destabilizer and h the
-        stabilizer of that pair.
-    (a) nothing anticommutes: h = +-prod of the S_i whose D_i anticommutes
-        with h, so the state is unchanged and the outcome is that sign.
-    Cases (b) and (c) draw one rng.integers(2); case (a) draws nothing.
+    Cases (b) and (c) draw one rng.integers(2) and give the new stabilizer
+    the outcome's sign; case (a) draws nothing and reads the outcome as the
+    sign of h in the group.
     """
     if need_outcome:
         state._require_signs("an outcome-returning measurement")
-    L = state.num_qubits
-    cols, stab = state._cols, state._stab
-    hit = anti & stab
-    if hit:  # case (b)
-        p = (hit & -hit).bit_length() - 1
-        _clear_row(cols, L + p)  # the multiply below then copies S_p into D_p
-        _multiply(state, p, (anti & ~(1 << p)) | (1 << (L + p)))
-        _write_row(cols, p, h)
+    p = _collapse_rows(state, anti, h)
+    if p >= 0:
         outcome = _uniform_outcome(rng)
         if state._neg is not None:
             state._neg[p] = (outcome < 0) ^ (h_sign < 0)
         return outcome
-    free = ((1 << L) - 1) & ~stab
-    hit = anti & (free | (free << L))
-    if hit:  # case (c): no stabilizer is hit, so no sign changes
-        q = (hit & -hit).bit_length() - 1
-        pair = q % L
-        if q == pair:  # q moves into the destabilizer row
-            _clear_row(cols, L + pair)
-            targets = (anti & ~(1 << q)) | (1 << (L + pair))
-        else:
-            targets = anti & ~((1 << q) | (1 << pair))
-        _xor_row(cols, q, targets)
-        _write_row(cols, pair, h)
-        state._stab = stab | (1 << pair)
-        outcome = _uniform_outcome(rng)
-        if state._neg is not None:
-            state._neg[pair] = (outcome < 0) ^ (h_sign < 0)
-        return outcome
     if not need_outcome:  # case (a)
         return None
-    return _group_element_sign(state, (anti >> L) & stab, h) * h_sign
-
-
-def _multiply(state: StabilizerState, source: int, targets: int) -> None:
-    """Rows in the int mask targets <- row source times themselves; signed
-    states go through _multiply_rows for the stabilizer signs."""
-    if state._neg is not None:
-        state._multiply_rows(source, _bit_indices(targets))
-    else:
-        _xor_row(state._cols, source, targets)
+    return _group_element_sign(state, (anti >> state.num_qubits) & state._stab, h) * h_sign
 
 
 def _group_element_sign(state: StabilizerState, pairs: int, h: int) -> int:
@@ -473,8 +426,13 @@ def dephase(state: StabilizerState, site: int) -> StabilizerState:
 
 
 def _dephase_inplace(state: StabilizerState, site: int):
-    """Multiply the pivot S_p into the other anticommuting stabilizers, fold
-    their destabilizers into D_p, then clear pair p's stabilizer bit."""
+    """Dephase at tableau column `site`: a column c < L dephases Z_c (the
+    channel above), the column L + c dephases X_c.
+
+    Multiply the pivot S_p into the other stabilizers that anticommute with
+    that Pauli, fold their destabilizers into D_p, then clear pair p's
+    stabilizer bit.
+    """
     hit = _column_int(state, site) & state._stab
     if not hit:
         return

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
+from .channels import _dephase_inplace
 from .gf2 import bits_to_int_rows, parity_matmul, rank_int_rows
-from .stabilizer import StabilizerState, _int_rows_to_bits, _row_interval, canonicalize
+from .stabilizer import StabilizerState, _row_interval, canonicalize
 
 __all__ = [
     "Bipartition",
@@ -86,45 +87,23 @@ def entropy(state: StabilizerState, region: Iterable[int]) -> int:
     return int(cols.size - inside)
 
 
-def _subgroup_rows(rows: Sequence[int], outside: int) -> Sequence[int]:
-    """Generators of the subgroup with no support on the bits in `outside`.
-
-    Eliminates over those bits; the rows that reduce to zero there are
-    independent and span the subgroup.
-    """
-    pivots: dict = {}
-    inside = []
-    for row in rows:
-        while row & outside:
-            top = (row & outside).bit_length() - 1
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = row
-                break
-            row ^= pivot
-        else:
-            inside.append(row)
-    return inside
-
-
 def negativity(state: StabilizerState, bp: Bipartition) -> float:
     """E = rank(J)/2, J the anticommutation form of rho_AB's generators on A.
 
     rho_AB's group is the subgroup supported on A u B (Sang et al.,
-    arXiv:2012.00031); when A u B is the whole chain that is every generator.
+    arXiv:2012.00031): what is left after dephasing every other site in both
+    Z and X. When A u B is the whole chain that is every generator.
     """
     L = state.num_qubits
     a = _region_columns(L, bp.region_a)
-    columns = np.concatenate([a, a + L])
     rest = _complement(L, _region_columns(L, bp.joint()))
-    if rest.size == 0:
-        bits = state._stabilizer_bits(columns)
-    else:
-        outside = 0
+    if rest.size:
+        state = state.copy()
+        state._neg = None  # dephasing the copy reads and writes no sign
         for site in rest.tolist():
-            outside |= (1 << site) | (1 << (L + site))
-        rows = _subgroup_rows(state.symplectic_int_rows(), outside)
-        bits = _int_rows_to_bits(rows, 2 * L)[:, columns]
+            _dephase_inplace(state, site)
+            _dephase_inplace(state, L + site)
+    bits = state._stabilizer_bits(np.concatenate([a, a + L]))
     xa, za = bits[:, : a.size], bits[:, a.size :]
     j = parity_matmul(xa, za.T) ^ parity_matmul(za, xa.T)
     return rank_int_rows(bits_to_int_rows(j)) / 2.0

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import Rng, make_rng
+from .channels import make_rng
 
 __all__ = [
     "Permutation",

@@ -6,7 +6,10 @@ generator and its destabilizer; otherwise they are an anticommuting logical
 pair of the mixed part. Every row anticommutes with its partner and commutes
 with every other row (Aaronson-Gottesman bookkeeping carried over to mixed
 states). The k stabilizer generators fix the density operator as the uniform
-mixture over the generated group, so purity is 2**(k-L).
+mixture over the generated group, so purity is 2**(k-L). Constructors start
+from the maximally mixed state, where every pair is a logical pair, and
+measure the given generators into it with the same tableau update the
+measurement channel uses.
 
 Storage is transposed and bit-packed (Gidney's layout, arXiv:2103.02202): a
 (W, 2L) uint64 array with W = ceil(2L/64). Column c < L is the X bit of site
@@ -90,12 +93,6 @@ def _bit_indices(mask: int) -> List[int]:
     return out
 
 
-def _symp(a: int, b: int, L: int) -> int:
-    """Symplectic product of two 2L-bit rows (x | z << L): 1 iff they anticommute."""
-    full = (1 << L) - 1
-    return (((a & full) & (b >> L)).bit_count() + ((a >> L) & (b & full)).bit_count()) & 1
-
-
 # -- in-place row primitives on packed columns -----------------------------------
 
 
@@ -126,6 +123,14 @@ def _write_row(cols: np.ndarray, row: int, value: int) -> None:
     else:
         bits = _int_rows_to_bits([value], cols.shape[1])[0].astype(np.uint64)
         cols[row >> 6] |= bits << _SHIFT[row & 63]
+
+
+def _anticommuting_rows(cols: np.ndarray, h: int, L: int) -> int:
+    """Int mask of the rows anticommuting with the 2L-bit row h: the XOR of
+    the X columns of its Z sites and the Z columns of its X sites."""
+    swapped = (h >> L) | ((h & ((1 << L) - 1)) << L)
+    anti = np.bitwise_xor.reduce(cols[:, _bit_indices(swapped)], axis=1)
+    return int.from_bytes(anti.tobytes(), "little")
 
 
 class StabilizerState:
@@ -161,28 +166,38 @@ class StabilizerState:
 
     @classmethod
     def _from_rows(cls, L: int, gens: Sequence[int], signs: Sequence[int]) -> "StabilizerState":
-        """Signed stabilizers in pairs 0..k-1, completed to a full symplectic basis.
+        """Signed stabilizers in pairs 0..k-1, measured into the maximally mixed state.
 
-        Raises ValueError naming the first violation: too many, non-commuting
-        or dependent generators.
+        Each generator must take case (c) of _collapse_rows and lands in some
+        free pair; one row permutation then puts generator i in pair i.
+        Raises ValueError naming the first violation in input order: too
+        many generators, one that anticommutes with an earlier one (case b),
+        or one already in the group up to sign (case a).
         """
         k = len(gens)
         if k > L:
             raise ValueError(f"too many generators ({k} > {L})")
-        for i in range(k):
-            for j in range(i + 1, k):
-                if _symp(gens[i], gens[j], L):
-                    raise ValueError(f"non-commuting generator pair ({i}, {j})")
-        destabs = _destabilizers(list(gens), L)
-        logicals = _logical_pairs(list(gens), destabs, L)
-        rows = [0] * (2 * L)
-        for j, (s, d) in enumerate(zip(gens, destabs)):
-            rows[j], rows[L + j] = s, d
-        for j, (a, b) in enumerate(logicals, start=k):
-            rows[j], rows[L + j] = a, b
-        neg = np.zeros(L, dtype=np.uint8)
-        neg[:k] = signs
-        return cls._from_basis(L, rows, (1 << k) - 1, neg)
+        state = product_state(L, signed=False)
+        state._stab = 0  # every pair (Z_j, X_j) is a logical pair
+        pair_of: List[int] = []
+        for j, row in enumerate(gens):
+            anti = _anticommuting_rows(state._cols, row, L)
+            hit = anti & state._stab
+            if hit:
+                i = min(pair_of.index(p) for p in _bit_indices(hit))
+                raise ValueError(f"non-commuting generator pair ({i}, {j})")
+            p = _collapse_rows(state, anti, row)
+            if p < 0:
+                raise ValueError("dependent generator rows")
+            pair_of.append(p)
+        taken = set(pair_of)
+        order = pair_of + [j for j in range(L) if j not in taken]
+        bits = _unpack_rows(state._cols)[order + [L + j for j in order]]
+        state._cols = _pack_rows(bits, state._cols.shape[0])
+        state._stab = (1 << k) - 1
+        state._neg = np.zeros(L, dtype=np.uint8)
+        state._neg[:k] = signs
+        return state
 
     def copy(self) -> "StabilizerState":
         state = StabilizerState.__new__(StabilizerState)
@@ -306,69 +321,56 @@ class StabilizerState:
         return cls.from_json_dict(json.loads(text))
 
 
-# -- basis completion (construction paths only) -----------------------------------
+# -- the measurement update on the tableau (shared with the channels module) ----
 
 
-def _destabilizers(gens: List[int], L: int) -> List[int]:
-    """D_j with <S_i, D_j> = delta_ij that commute with each other.
+def _multiply(state: StabilizerState, source: int, targets: int) -> None:
+    """Rows in the int mask targets <- row source times themselves; signed
+    states go through _multiply_rows for the stabilizer signs."""
+    if state._neg is not None:
+        state._multiply_rows(source, _bit_indices(targets))
+    else:
+        _xor_row(state._cols, source, targets)
 
-    Reduced echelon form of the rows swap(S_i) (so the dot product with a
-    vector is the symplectic product with S_i), with tags recording which
-    S_i make up each reduced row: the unit vector at reduced row r's pivot
-    pairs with S_j for every j in r's tag.
+
+def _collapse_rows(state: StabilizerState, anti: int, h: int) -> int:
+    """Tableau part of measuring the 2L-bit row h; anti marks the rows
+    anticommuting with it. Returns the pair whose stabilizer is now h, or -1.
+
+    (b) a stabilizer S_p anticommutes: multiply it into the other
+        anticommuting rows except D_p, then D_p <- S_p and S_p <- h.
+    (c) only logical rows anticommute: multiply the lowest, q, into the
+        others except its partner; q becomes the destabilizer and h the
+        stabilizer of that pair.
+    (a) nothing but destabilizers anticommutes: h is +-prod of the S_i whose
+        D_i anticommutes with h, and the tableau is unchanged.
+    Signs of the other stabilizers follow the row products; the caller
+    writes the sign of S_p.
     """
-    k, width = len(gens), 2 * L
-    full = (1 << L) - 1
-    value_mask = (1 << width) - 1
-    reduced: List[int] = []  # value | tag << width
-    pivots: List[int] = []
-    for i, s in enumerate(gens):
-        row = ((s >> L) | ((s & full) << L)) | (1 << (width + i))
-        for r, c in zip(reduced, pivots):
-            if (row >> c) & 1:
-                row ^= r
-        value = row & value_mask
-        if not value:
-            raise ValueError("dependent generator rows")
-        c = (value & -value).bit_length() - 1
-        for idx, r in enumerate(reduced):
-            if (r >> c) & 1:
-                reduced[idx] = r ^ row
-        reduced.append(row)
-        pivots.append(c)
-    destabs = [0] * k
-    for r, c in zip(reduced, pivots):
-        for j in _bit_indices(r >> width):
-            destabs[j] |= 1 << c
-    for j in range(k):
-        for i in range(j):
-            if _symp(destabs[i], destabs[j], L):
-                destabs[j] ^= gens[i]
-    return destabs
-
-
-def _logical_pairs(gens: List[int], destabs: List[int], L: int) -> List[Tuple[int, int]]:
-    """Symplectic Gram-Schmidt on the unit vectors projected off span(S, D)."""
-    pool = []
-    for c in range(2 * L):
-        v = 1 << c
-        for s, d in zip(gens, destabs):
-            if _symp(v, d, L):
-                v ^= s
-            if _symp(v, s, L):
-                v ^= d
-        if v:
-            pool.append(v)
-    pairs = []
-    while len(pairs) < L - len(gens):
-        a = pool.pop(0)
-        if not a:
-            continue
-        b_idx = next(i for i, u in enumerate(pool) if _symp(a, u, L))
-        b = pool.pop(b_idx)
-        pairs.append((a, b))
-        pool = [u ^ (b if _symp(u, a, L) else 0) ^ (a if _symp(u, b, L) else 0) for u in pool]
-    return pairs
+    L = state.num_qubits
+    cols, stab = state._cols, state._stab
+    hit = anti & stab
+    if hit:  # case (b)
+        p = (hit & -hit).bit_length() - 1
+        _clear_row(cols, L + p)  # the multiply below then copies S_p into D_p
+        _multiply(state, p, (anti & ~(1 << p)) | (1 << (L + p)))
+        _write_row(cols, p, h)
+        return p
+    free = ((1 << L) - 1) & ~stab
+    hit = anti & (free | (free << L))
+    if hit:  # case (c): no stabilizer is hit, so no sign changes
+        q = (hit & -hit).bit_length() - 1
+        pair = q % L
+        if q == pair:  # q moves into the destabilizer row
+            _clear_row(cols, L + pair)
+            targets = (anti & ~(1 << q)) | (1 << (L + pair))
+        else:
+            targets = anti & ~((1 << q) | (1 << pair))
+        _xor_row(cols, q, targets)
+        _write_row(cols, pair, h)
+        state._stab = stab | (1 << pair)
+        return pair
+    return -1
 
 
 def product_state(L: int, signed: bool = True) -> StabilizerState:

@@ -5,8 +5,9 @@ import pytest
 
 from negsim.channels import (
     CliffordGate,
-    _conjugation_table,
+    _conjugation_flips,
     _gate_from_class,
+    _gate_maps,
     _measure_inplace,
     _measure_z_inplace,
     _symp_inner,
@@ -123,9 +124,9 @@ def test_gate_validation_rejects_bad_images():
 
 def test_identity_gate_table_is_trivial():
     ident = CliffordGate.from_labels("+XI", "+ZI", "+IX", "+IZ")
-    out, flip = _conjugation_table(ident)
-    assert np.array_equal(out, np.arange(16, dtype=np.uint8))
-    assert not flip.any()
+    assert not _conjugation_flips(ident).any()
+    masks = np.array([[(g.x_mask, g.z_mask) for g in ident.images]], dtype=np.uint8)
+    assert np.array_equal(_gate_maps(masks)[0], np.uint64(0) - np.eye(4, dtype=np.uint64))
 
 
 def test_bell_circuit_stabilizers():

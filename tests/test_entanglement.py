@@ -121,7 +121,10 @@ def test_negativity_ghz_non_covering_split_is_zero():
     # come from rho_AB's generators (ZZI), not from every generator on A
     ghz = StabilizerState(3, [PauliString.from_label(s) for s in ("+XXX", "+ZZI", "+IZZ")])
     bp = Bipartition([0], [1])
+    before = ghz.copy()
     assert negativity(ghz, bp) == 0.0
+    assert ghz == before and ghz.signed
+    assert np.array_equal(ghz._cols, before._cols)
     assert mutual_information(ghz, bp) == 1
     reduced = DenseState(2, DenseState.from_stabilizer(ghz).partial_trace([0, 1]))
     assert log_negativity(reduced, [1]) < 1e-12

@@ -1,7 +1,5 @@
 """GF(2) kernel checks against brute-force row-space enumeration."""
 
-import itertools
-
 import numpy as np
 
 from negsim.gf2 import (

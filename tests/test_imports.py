@@ -1,0 +1,61 @@
+"""Every top-level import in the package modules and the tests is used.
+
+No linter is a dependency of negsim, so this AST scan keeps unused imports
+out. The package's `__init__.py` only re-exports and is skipped; an import
+line marked `# noqa: F401` is kept on purpose (a name other code looks up
+by module).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "negsim"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
+
+
+def unused_imports(source: str):
+    """(line, name) of each module-level import binding no other code reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound.append((node.lineno, name))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for note in annotations(tree):  # quoted annotations hold names too
+        for node in ast.walk(note):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.arg) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_imports_are_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_unused_import():
+    source = "import os\nimport sys  # noqa: F401\nfrom typing import List, Tuple\nx: 'List[int]' = []\n"
+    assert unused_imports(source) == [(1, "os"), (3, "Tuple")]

@@ -5,8 +5,6 @@ sign * prod_i i^{x_i z_i} X^{x_i} Z^{z_i}, independent of the package's own
 dense oracle module.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 

@@ -62,6 +62,14 @@ def test_constructor_round_trip():
     s = StabilizerState(2, gens)
     assert list(s.generators) == gens
     assert validate(s) is None
+    for seed in range(40):
+        L = 2 + seed % 7
+        state = random_state(L, seed + 700)
+        gens = list(state.generators)
+        rebuilt = StabilizerState(L, gens)
+        assert list(rebuilt.generators) == gens
+        assert validate(rebuilt) is None
+        assert rebuilt == state
     with pytest.raises(ValueError):
         StabilizerState(2, [PauliString.from_label("+XXX")])
     with pytest.raises(ValueError):
@@ -77,6 +85,8 @@ def test_validate_detects_violations():
 
     with pytest.raises(ValueError, match="non-commuting"):
         StabilizerState(2, [PauliString.from_label("+XI"), PauliString.from_label("+ZI")])
+    with pytest.raises(ValueError, match=r"non-commuting generator pair \(0, 2\)"):
+        StabilizerState(3, [PauliString.from_label(s) for s in ("+XII", "+IZI", "+ZII")])
 
     with pytest.raises(ValueError, match="dependent"):
         StabilizerState(
