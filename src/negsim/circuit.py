@@ -7,13 +7,8 @@ bipartition on a layer stride.
 
 Seeding contract: trajectory i draws from SeedSequence(seed, spawn_key=(i,)),
 and aggregation is done in trajectory order, so results are bit-identical
-for any worker count. The draw order is part of the contract; per layer:
-rng.integers(720, size=n) gate classes and rng.integers(16, size=n) gate sign
-bits for the n gates, rng.random(L) for the measurement sites when p > 0,
-one rng.integers(2) per random-outcome (anticommuting or appended) Z
-measurement in site order, and rng.choice(L, size=m, replace=False) for a
-random_sites(m) schedule. The runner's state carries no signs, yet every
-one of these draws is made.
+for any worker count. The draw order is part of the contract; `_layer_ops`
+owns it, and both `run_trajectory` and `oracle.replay_trajectory` walk it.
 """
 
 from __future__ import annotations
@@ -127,43 +122,63 @@ class TrajectoryResult:
         return self.table()[:, idx]
 
 
+def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
+    """Yield one trajectory's operations as (t, kind, arg), in RNG draw order.
+
+    Per layer t = 1..T: ("gates", (cols, sym, signs)) after
+    rng.integers(720, size=n) gate classes and rng.integers(16, size=n) sign
+    bits for the n gates on sites (cols, cols + 1), from site 0 on odd t and
+    site 1 on even t; ("measure", site) for each site of rng.random(L) < p in
+    site order, drawn only when p > 0, and before resuming the consumer draws
+    one rng.integers(2) exactly when the outcome is random (anticommuting or
+    appended); ("dephase", site) for sites 0 and L - 1 on the boundary stride,
+    or the sorted sites of rng.choice(L, size=m, replace=False) for
+    random_sites(m); ("record", None) every observables_every layers and at T.
+    The runner's state carries no signs, yet every one of these draws is made.
+    """
+    L, T, stride = cfg.L, cfg.steps, cfg.observables_every
+    bath, param = cfg.schedule()
+    for t in range(1, T + 1):
+        cols = np.arange(1 - t % 2, L - 1, 2)
+        if cols.size:
+            sym = rng.integers(720, size=cols.size)
+            yield t, "gates", (cols, sym, rng.integers(16, size=cols.size))
+        if cfg.p > 0:
+            for site in np.nonzero(rng.random(L) < cfg.p)[0].tolist():
+                yield t, "measure", site
+        if bath == "boundary":
+            if t % param == 0:
+                yield t, "dephase", 0
+                yield t, "dephase", L - 1
+        elif param:
+            for site in sorted(rng.choice(L, size=param, replace=False).tolist()):
+                yield t, "dephase", site
+        if t % stride == 0 or t == T:
+            yield t, "record", None
+
+
 def run_trajectory(
     cfg: CircuitConfig, trajectory_index: int = 0, keep_final_state: bool = False
 ) -> TrajectoryResult:
     rng = trajectory_rng(cfg.seed, trajectory_index)
-    L, T, stride = cfg.L, cfg.steps, cfg.observables_every
-    state = product_state(L, signed=False)  # no recorded observable reads a sign
-    bp = Bipartition.contiguous_halves(L)
-    kind, param = cfg.schedule()
+    state = product_state(cfg.L, signed=False)  # no recorded observable reads a sign
+    bp = Bipartition.contiguous_halves(cfg.L)
     maps = _class_tables()
 
-    times: List[int] = []
     records: List[ObservableRecord] = []
-    for t in range(1, T + 1):
-        start = 0 if t % 2 else 1
-        n_pairs = (L - start) // 2
-        if n_pairs:
-            sym = rng.integers(720, size=n_pairs)
-            rng.integers(16, size=n_pairs)  # the gates' sign bits: drawn, unused unsigned
-            cols = np.arange(start, start + 2 * n_pairs, 2)
+    for t, kind, arg in _layer_ops(cfg, rng):
+        if kind == "measure":
+            _measure_z_inplace(state, arg, rng, need_outcome=False)
+        elif kind == "gates":
+            cols, sym, _ = arg  # the sign bits are unused unsigned
             _apply_tables_inplace(state, maps[sym], cols, cols + 1)
-        if cfg.p > 0:
-            for site in np.nonzero(rng.random(L) < cfg.p)[0]:
-                _measure_z_inplace(state, int(site), rng, need_outcome=False)
-        if kind == "boundary":
-            if t % param == 0:
-                _dephase_inplace(state, 0)
-                _dephase_inplace(state, L - 1)
-        elif param:
-            sites = rng.choice(L, size=param, replace=False)
-            for site in sorted(int(s) for s in sites):
-                _dephase_inplace(state, site)
-        if t % stride == 0 or t == T:
-            times.append(t)
+        elif kind == "dephase":
+            _dephase_inplace(state, arg)
+        else:
             records.append(record_observables(state, bp, t))
     return TrajectoryResult(
         trajectory_id=trajectory_index,
-        times=np.asarray(times, dtype=np.int64),
+        times=np.asarray([r.time for r in records], dtype=np.int64),
         records=records,
         final_state=state if keep_final_state else None,
     )

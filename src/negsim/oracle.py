@@ -12,7 +12,7 @@ the PauliString mask convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -357,6 +357,12 @@ def page_negativity_check(
 
 @dataclass
 class OracleReport:
+    """Largest stabilizer-vs-dense deviations and the failures past tolerance.
+
+    In both oracle_check_suite and replay_trajectory, max_entropy_dev covers
+    S_A, S_B, S_AB and I, and max_mupurity_dev is the log2-purity deviation.
+    """
+
     circuits: int
     comparisons: int
     max_entropy_dev: float
@@ -408,9 +414,8 @@ def oracle_check_suite(
 
     rng = make_rng(seed)
     split_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
-    half = list(range(L // 2))
-    rest = list(range(L // 2, L))
-    bp = entanglement.Bipartition(frozenset(half), frozenset(rest))
+    half, rest = list(range(L // 2)), list(range(L // 2, L))
+    bp = entanglement.Bipartition(half, rest)
     max_s = max_e = max_p = 0.0
     failures = []
     comparisons = 0
@@ -437,26 +442,14 @@ def oracle_check_suite(
             dense = dense.dephase_site(site)
 
             comparisons += 1
-            s_stab = [
-                entanglement.entropy(stab, half),
-                entanglement.entropy(stab, rest),
-                entanglement.entropy(stab, half + rest),
-            ]
-            s_dense = [dense.entropy(half), dense.entropy(rest), dense.entropy(half + rest)]
-            dev_s = max(abs(a - b) for a, b in zip(s_stab, s_dense))
-            dev_e = abs(entanglement.negativity(stab, bp) - log_negativity(dense, rest))
+            dev = _record_deviations(
+                entanglement.record_observables(stab, bp, layer), dense, half, rest
+            )
             split_a, split_b = _random_split(L, split_rng)
-            split = entanglement.Bipartition(split_a, split_b)
-            dev_e = max(
-                dev_e,
-                abs(
-                    entanglement.negativity(stab, split)
-                    - dense_split_negativity(dense, split_a, split_b)
-                ),
-            )
-            dev_p = abs(
-                2.0 ** (stab.num_generators - stab.num_qubits) - dense.purity()
-            )
+            e_split = entanglement.negativity(stab, entanglement.Bipartition(split_a, split_b))
+            dev_s = max(dev["S_A"], dev["S_B"], dev["S_AB"], dev["I"])
+            dev_e = max(dev["E"], abs(e_split - dense_split_negativity(dense, split_a, split_b)))
+            dev_p = dev["purity_log2"]
             max_s, max_e, max_p = max(max_s, dev_s), max(max_e, dev_e), max(max_p, dev_p)
             if dev_s > 1e-9 or dev_e > 1e-9 or dev_p > 1e-9:
                 failures.append(
@@ -465,77 +458,68 @@ def oracle_check_suite(
     return OracleReport(circuits, comparisons, max_s, max_e, max_p, failures)
 
 
+def _dense_values(dense: DenseState, half: list, rest: list) -> Tuple[float, ...]:
+    """The ObservableRecord fields of a dense state, A = half and B = rest."""
+    s_a, s_b, s_ab = dense.entropy(half), dense.entropy(rest), dense.entropy(half + rest)
+    e = log_negativity(dense, rest)
+    return s_a, s_b, s_ab, e, s_a + s_b - s_ab, float(np.log2(dense.purity()))
+
+
+def _record_deviations(rec, dense: DenseState, half: list, rest: list) -> Dict[str, float]:
+    """|stabilizer - dense| for each ObservableRecord field of rec."""
+    want = _dense_values(dense, half, rest)
+    return {name: abs(a - b) for name, a, b in zip(rec.FIELDS, rec.values(), want)}
+
+
 def replay_trajectory(cfg, trajectory_index: int = 0, atol: float = 1e-9) -> OracleReport:
     """Check run_trajectory itself against the dense engine (L <= 8).
 
-    Runs the trajectory, then replays its RNG stream draw for draw on a
-    DenseState: the same gate classes and sign bits, the same measured
-    sites, one outcome bit exactly when the dense Born probability is 1/2
-    (the stabilizer runner's cases (b) and (c)) and none when the outcome is
-    certain (case (a)), and the same dephased sites. Every recorded field is
+    Runs the trajectory, then walks its layer generator (circuit._layer_ops)
+    with a DenseState on a fresh copy of its RNG stream, drawing one outcome
+    bit exactly when the dense Born probability is 1/2 (the runner's cases (b)
+    and (c)) and none when it is certain (case (a)). Every recorded field is
     compared at every recorded time, and the final k against the dense
     purity. The report counts one circuit and one comparison per record.
     """
     from .channels import _gate_from_class, _uniform_outcome, trajectory_rng
-    from .circuit import run_trajectory
-    from .entanglement import ObservableRecord
+    from .circuit import _layer_ops, run_trajectory
 
-    L, T, stride = cfg.L, cfg.steps, cfg.observables_every
+    L = cfg.L
     if L > DenseState.MAX_QUBITS:
         raise ValueError("replay needs L <= 8 for the dense engine")
     result = run_trajectory(cfg, trajectory_index, keep_final_state=True)
     rng = trajectory_rng(cfg.seed, trajectory_index)
-    kind, param = cfg.schedule()
     half, rest = list(range(L // 2)), list(range(L // 2, L))
     dense = DenseState.product_state(L)
     failures: list = []
     max_s = max_e = max_p = 0.0
     records = iter(result.records)
-    for t in range(1, T + 1):
-        start = 0 if t % 2 else 1
-        n_pairs = (L - start) // 2
-        if n_pairs:
-            sym = rng.integers(720, size=n_pairs)
-            signs = rng.integers(16, size=n_pairs)
-            for m in range(n_pairs):
-                i = start + 2 * m
-                dense = dense.apply_gate(_gate_from_class(int(sym[m]), int(signs[m])), i, i + 1)
-        if cfg.p > 0:
-            for site in np.nonzero(rng.random(L) < cfg.p)[0]:
-                site = int(site)
-                prob_up = float(np.real(np.trace(dense.z_projector(site, 1) @ dense.rho)))
-                if abs(prob_up - 0.5) < atol:
-                    outcome = _uniform_outcome(rng)
-                elif min(prob_up, 1.0 - prob_up) < atol:
-                    outcome = 1 if prob_up > 0.5 else -1
-                else:
-                    failures.append(f"t={t} site {site}: Born probability {prob_up}")
-                    return OracleReport(1, 0, max_s, max_e, max_p, failures)
-                _, dense = dense.project_z(site, outcome)
-        if kind == "boundary":
-            if t % param == 0:
-                dense = dense.dephase_site(0).dephase_site(L - 1)
-        elif param:
-            for site in sorted(int(s) for s in rng.choice(L, size=param, replace=False)):
-                dense = dense.dephase_site(site)
-        if t % stride == 0 or t == T:
+    for t, kind, arg in _layer_ops(cfg, rng):
+        if kind == "gates":
+            for i, sym, signs in zip(*(a.tolist() for a in arg)):
+                dense = dense.apply_gate(_gate_from_class(sym, signs), i, i + 1)
+        elif kind == "measure":
+            prob_up = float(np.real(np.trace(dense.z_projector(arg, 1) @ dense.rho)))
+            if abs(prob_up - 0.5) < atol:
+                outcome = _uniform_outcome(rng)
+            elif min(prob_up, 1.0 - prob_up) < atol:
+                outcome = 1 if prob_up > 0.5 else -1
+            else:
+                failures.append(f"t={t} site {arg}: Born probability {prob_up}")
+                return OracleReport(1, 0, max_s, max_e, max_p, failures)
+            _, dense = dense.project_z(arg, outcome)
+        elif kind == "dephase":
+            dense = dense.dephase_site(arg)
+        else:
             rec = next(records)
-            s_a, s_b, s_ab = dense.entropy(half), dense.entropy(rest), dense.entropy(half + rest)
-            want = {
-                "S_A": s_a,
-                "S_B": s_b,
-                "S_AB": s_ab,
-                "E": log_negativity(dense, rest),
-                "I": s_a + s_b - s_ab,
-                "purity_log2": float(np.log2(dense.purity())),
-            }
-            got = dict(zip(ObservableRecord.FIELDS, rec.values()))
-            dev = {name: abs(got[name] - want[name]) for name in ObservableRecord.FIELDS}
+            dev = _record_deviations(rec, dense, half, rest)
             max_s = max(max_s, dev["S_A"], dev["S_B"], dev["S_AB"], dev["I"])
             max_e, max_p = max(max_e, dev["E"]), max(max_p, dev["purity_log2"])
-            bad = {name: (got[name], want[name]) for name, d in dev.items() if d > atol}
+            bad = [name for name, d in dev.items() if d > atol]
             if rec.time != t or bad:
-                failures.append(f"t={t} (record t={rec.time}): runner vs dense {bad}")
+                want = dict(zip(rec.FIELDS, _dense_values(dense, half, rest)))
+                pairs = {name: (getattr(rec, name), want[name]) for name in bad}
+                failures.append(f"t={t} (record t={rec.time}): runner vs dense {pairs}")
     k_dense = L + float(np.log2(dense.purity()))
     if abs(result.final_state.num_generators - k_dense) > atol:
         failures.append(f"final k {result.final_state.num_generators} vs dense {k_dense}")

@@ -386,6 +386,10 @@ def kpz_scan(widths: Sequence[int], p: float, samples: int, rng) -> KpzScan:
         raise ValueError("need widths >= 2")
     if np.any(widths_arr % 2):
         raise ValueError("widths must be even (paths return to y = 0)")
+    if widths_arr.size < 2 or np.any(np.diff(widths_arr) == 0):
+        raise ValueError("need at least two distinct widths, none repeated")
+    if samples < 2:
+        raise ValueError("need samples >= 2 for a variance")
 
     if p in (0.0, 1.0):
         exact = widths_arr.astype(float) if p == 0.0 else np.zeros(widths_arr.size)

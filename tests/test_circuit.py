@@ -15,6 +15,7 @@ from negsim.channels import (
 from negsim.circuit import (
     CircuitConfig,
     MonteCarloResult,
+    _layer_ops,
     monte_carlo,
     run_trajectory,
     write_summary_csv,
@@ -94,22 +95,19 @@ def test_record_count_matches_stride(T, stride):
 def test_vectorized_layer_matches_sequential_gates():
     # the runner applies a whole brickwork row of class maps to an unsigned
     # tableau at once; check every tableau row (stabilizers, destabilizers)
-    # against one-gate-at-a-time signed application of the sampled gates
+    # against one-gate-at-a-time signed application of the sampled gates,
+    # with the layers drawn by the runner's own generator
     rng = make_rng(97)
     maps = _class_tables()
+    cfg = CircuitConfig(L=8, p=0.0, T=3, dephasing_schedule="random_sites(0)")
     for trial in range(50):
-        L = 8
-        state = product_state(L, signed=False)
-        expected = product_state(L)
-        # scramble a little first
-        for t in range(3):
-            start = t % 2
-            cols = np.arange(start, L - 1, 2)
-            sym = rng.integers(720, size=cols.size)
-            signs = rng.integers(16, size=cols.size)
-            for m, c in enumerate(cols):
-                gate = _gate_from_class(int(sym[m]), int(signs[m]))
-                expected = apply_clifford(expected, gate, int(c), int(c) + 1)
+        state = product_state(cfg.L, signed=False)
+        expected = product_state(cfg.L)
+        layers = [arg for _, kind, arg in _layer_ops(cfg, rng) if kind == "gates"]
+        assert len(layers) == cfg.steps
+        for cols, sym, signs in layers:
+            for c, s, b in zip(cols.tolist(), sym.tolist(), signs.tolist()):
+                expected = apply_clifford(expected, _gate_from_class(s, b), c, c + 1)
             _apply_tables_inplace(state, maps[sym], cols, cols + 1)
             assert state._rows_int() == expected._rows_int()
             assert validate(state) is None

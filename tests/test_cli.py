@@ -177,6 +177,8 @@ def test_polymer_command(tmp_path, capsys):
     assert "# degenerate" in capsys.readouterr().out
 
     assert main(["polymer", "--widths", "3,8", "--p", "0.3"]) == 2
+    assert main(["polymer", "--widths", "16", "--p", "0.3", "--samples", "5"]) == 2
+    assert main(["polymer", "--widths", "8,16", "--p", "0.3", "--samples", "1"]) == 2
 
 
 def test_permcheck_command(capsys):

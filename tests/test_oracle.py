@@ -222,23 +222,36 @@ def test_replay_trajectory_matches_runner(schedule):
     assert cases == 8
 
 
-def test_replay_trajectory_detects_a_wrong_record():
-    import negsim.circuit as circuit
-
-    cfg = CircuitConfig(L=4, p=0.2, T=8, seed=1)
-    original = circuit.record_observables
-
-    def off_by_one(state, bp, time):
+def _off_by_one_record(original):
+    def record(state, bp, time):
         rec = original(state, bp, time)
         return type(rec)(rec.time, rec.S_A, rec.S_B, rec.S_AB, rec.E, rec.I + 1, rec.purity_log2)
 
-    circuit.record_observables = off_by_one
-    try:
-        report = replay_trajectory(cfg)
-    finally:
-        circuit.record_observables = original
+    return record
+
+
+def _no_op(original):
+    return lambda *args, **kwargs: None
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, first_failure",
+    [
+        ("record_observables", _off_by_one_record, "t=1 (record t=1): runner vs dense {'I': ("),
+        ("_measure_z_inplace", _no_op, "t=2 (record t=2): runner vs dense {'"),
+        ("_dephase_inplace", _no_op, "t=2 (record t=2): runner vs dense {'"),
+    ],
+    ids=["wrong_record", "no_op_measure", "no_op_dephase"],
+)
+def test_replay_trajectory_detects_a_wrong_record(monkeypatch, name, corrupt, first_failure):
+    # the runner calls its channels and recorder through negsim.circuit's
+    # globals, so a corrupted call there must show up against the dense replay
+    import negsim.circuit as circuit
+
+    monkeypatch.setattr(circuit, name, corrupt(getattr(circuit, name)))
+    report = replay_trajectory(CircuitConfig(L=4, p=0.2, T=8, seed=1))
     assert not report.ok
-    assert "'I'" in report.failures[0]
+    assert report.failures[0].startswith(first_failure), report.failures[0]
 
 
 def test_replay_trajectory_rejects_large_chains():

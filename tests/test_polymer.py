@@ -274,6 +274,10 @@ def test_kpz_scan_validation():
         kpz_scan([3, 8], 0.1, samples=2, rng=0)
     with pytest.raises(ValueError):
         kpz_scan([], 0.1, samples=2, rng=0)
+    # no variance from one sample, no two-parameter fit to one width
+    for widths, samples in (([8, 16, 32], 1), ([8, 16, 32], 0), ([16], 5), ([8, 8, 16], 3)):
+        with pytest.raises(ValueError):
+            kpz_scan(widths, 0.3, samples=samples, rng=3)
 
 
 def test_kpz_scan_fits_small():
