@@ -13,13 +13,16 @@ import json
 import logging
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .circuit import CircuitConfig, _config_line, _write_lines, monte_carlo
+from .circuit import CircuitConfig, _config_line, _write_lines, monte_carlo, run_trajectory
+from .entanglement import length_distribution
 
 log = logging.getLogger(__name__)
 
@@ -337,28 +340,35 @@ def _curves(points: Iterable[Tuple[int, float, float, float]]) -> List[Curve]:
     return curves
 
 
+def _pool(threads: int):
+    """One process pool for a whole sweep or figure, or none for threads <= 1."""
+    return ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+
+
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
-    """Monte Carlo over every (L, p) cell; logs one INFO line per cell."""
+    """Monte Carlo over every (L, p) cell on one shared process pool; logs
+    one INFO line per cell."""
     configs = spec.configs()
     cells = []
-    for n, cfg in enumerate(configs, 1):
-        start = time.perf_counter()
-        mc = monte_carlo(cfg, threads=threads)
-        cells.append(
-            SweepCell(
-                L=cfg.L,
-                p=cfg.p,
-                samples=cfg.samples,
-                stationary=mc.stationarity.passed,
-                late_mean=mc.late_mean,
-                late_stderr=mc.late_stderr,
+    with _pool(threads) as pool:
+        for n, cfg in enumerate(configs, 1):
+            start = time.perf_counter()
+            mc = monte_carlo(cfg, threads=threads, executor=pool)
+            cells.append(
+                SweepCell(
+                    L=cfg.L,
+                    p=cfg.p,
+                    samples=cfg.samples,
+                    stationary=mc.stationarity.passed,
+                    late_mean=mc.late_mean,
+                    late_stderr=mc.late_stderr,
+                )
             )
-        )
-        log.info(
-            "cell %d/%d L=%d p=%.4g: E=%.4g I=%.4g stationary=%s (%.1f s)",
-            n, len(configs), cfg.L, cfg.p, mc.late_mean["E"], mc.late_mean["I"],
-            mc.stationarity.passed, time.perf_counter() - start,
-        )
+            log.info(
+                "cell %d/%d L=%d p=%.4g: E=%.4g I=%.4g stationary=%s (%.1f s)",
+                n, len(configs), cfg.L, cfg.p, mc.late_mean["E"], mc.late_mean["I"],
+                mc.stationarity.passed, time.perf_counter() - start,
+            )
     return SweepResult(spec, cells)
 
 
@@ -481,7 +491,7 @@ def reproduce_figure(
     note = f"# figure={name} scale={scale} seed={seed} params={json.dumps(params, sort_keys=True)}"
 
     if name == "fig3":
-        emit("histogram.csv", _fig3_histogram(params["L"], params["samples"], seed))
+        emit("histogram.csv", _fig3_histogram(params["L"], params["samples"], seed, threads))
         return written
 
     spec = SweepSpec(
@@ -509,29 +519,37 @@ def reproduce_figure(
     return written
 
 
-def _fig3_histogram(L: int, samples: int, seed: int) -> List[str]:
-    """Mean count of stabilizer lengths 1..L with and without bulk baths."""
-    from .circuit import run_trajectory
-    from .entanglement import length_distribution
+def _final_lengths(args) -> np.ndarray:
+    """Length histogram of one trajectory's final state (a pool job)."""
+    cfg, index = args
+    return length_distribution(run_trajectory(cfg, index, keep_final_state=True).final_state)
 
+
+def _fig3_histogram(L: int, samples: int, seed: int, threads: int) -> List[str]:
+    """Mean count of stabilizer lengths 1..L with and without bulk baths.
+
+    Trajectories run on one pool of `threads` processes; the counts are
+    summed in trajectory order, so the file does not depend on threads.
+    """
     lines = ["series,length,mean_count"]
-    for offset, (series, schedule) in enumerate(
-        (("with_baths", "random_sites(2)"), ("without_baths", "random_sites(0)"))
-    ):
-        cfg = CircuitConfig(
-            L=L,
-            p=0.1,
-            seed=_cell_seed(seed + offset, L, 0.1),
-            dephasing_schedule=schedule,
-            samples=samples,
-            observables_every=4 * L,
-        )
-        counts = np.zeros(L + 1, dtype=np.float64)
-        for i in range(samples):
-            res = run_trajectory(cfg, i, keep_final_state=True)
-            counts += length_distribution(res.final_state)
-        counts /= samples
-        for length in range(1, L + 1):
-            if counts[length] > 0:
-                lines.append(f"{series},{length},{counts[length]:.9g}")
+    with _pool(threads) as pool:
+        mapper = map if pool is None else pool.map
+        for offset, (series, schedule) in enumerate(
+            (("with_baths", "random_sites(2)"), ("without_baths", "random_sites(0)"))
+        ):
+            cfg = CircuitConfig(
+                L=L,
+                p=0.1,
+                seed=_cell_seed(seed + offset, L, 0.1),
+                dephasing_schedule=schedule,
+                samples=samples,
+                observables_every=4 * L,
+            )
+            counts = np.zeros(L + 1, dtype=np.float64)
+            for dist in mapper(_final_lengths, [(cfg, i) for i in range(samples)]):
+                counts += dist
+            counts /= samples
+            for length in range(1, L + 1):
+                if counts[length] > 0:
+                    lines.append(f"{series},{length},{counts[length]:.9g}")
     return lines

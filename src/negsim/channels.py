@@ -21,6 +21,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import rowkernel
+
 # solve_int_rows is not used here any more; bench/workloads.py still wraps
 # negsim.channels.solve_int_rows by name, so the name stays importable.
 from .gf2 import solve_int_rows  # noqa: F401
@@ -303,8 +305,11 @@ def _apply_tables_inplace(state, maps, cols_i, cols_j, flips=None):
     """Apply one gate per site pair (cols_i[m], cols_j[m]).
 
     maps are the (m, 4, 4) masks of _gate_maps. flips, the (m, 16) sign
-    tables, are required for a signed state and ignored otherwise.
+    tables, are required for a signed state and ignored otherwise. The pairs
+    must be disjoint, as in a brickwork layer.
     """
+    if rowkernel.LIB is not None and state._neg is None:
+        return rowkernel.apply_gates(state, maps, cols_i, cols_j)
     L = state.num_qubits
     cols_i = np.asarray(cols_i, dtype=np.int64)
     cols_j = np.asarray(cols_j, dtype=np.int64)
@@ -371,6 +376,8 @@ def _measure_z_inplace(
     state: StabilizerState, site: int, rng: Rng, need_outcome: bool
 ) -> Optional[int]:
     """Runner path for h = Z_site: the anticommuting rows are column X_site."""
+    if rowkernel.LIB is not None and state._neg is None and not need_outcome:
+        return _uniform_outcome(rng) if rowkernel.measure_z(state, site) else None
     return _collapse(
         state, _column_int(state, site), 1 << (state.num_qubits + site), 1, rng, need_outcome
     )
@@ -433,6 +440,8 @@ def _dephase_inplace(state: StabilizerState, site: int):
     that Pauli, fold their destabilizers into D_p, then clear pair p's
     stabilizer bit.
     """
+    if rowkernel.LIB is not None and state._neg is None:
+        return rowkernel.dephase(state, site)
     hit = _column_int(state, site) & state._stab
     if not hit:
         return

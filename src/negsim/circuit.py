@@ -18,7 +18,7 @@ import inspect
 import json
 import re
 import typing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -108,14 +108,25 @@ class CircuitConfig:
 
 @dataclass
 class TrajectoryResult:
+    """One trajectory's records as two arrays: `times` (n,) int64 and
+    `observables` (n, 6) float64 in ObservableRecord.FIELDS order."""
+
     trajectory_id: int
     times: np.ndarray
-    records: List[ObservableRecord]
+    observables: np.ndarray
     final_state: Optional[StabilizerState] = None
 
+    @property
+    def records(self) -> List[ObservableRecord]:
+        """One ObservableRecord per time; every field but E is an int."""
+        return [
+            ObservableRecord(t, int(sa), int(sb), int(sab), e, int(i), int(plog))
+            for t, (sa, sb, sab, e, i, plog) in zip(self.times.tolist(), self.observables.tolist())
+        ]
+
     def table(self) -> np.ndarray:
-        """(n_times, 6) float array in ObservableRecord.FIELDS order."""
-        return np.array([r.values() for r in self.records], dtype=np.float64)
+        """The (n_times, 6) observables array itself, not a copy."""
+        return self.observables
 
     def series(self, name: str) -> np.ndarray:
         idx = ObservableRecord.FIELDS.index(name)
@@ -165,7 +176,8 @@ def run_trajectory(
     bp = Bipartition.contiguous_halves(cfg.L)
     maps = _class_tables()
 
-    records: List[ObservableRecord] = []
+    times: List[int] = []
+    rows: List[Tuple[float, ...]] = []
     for t, kind, arg in _layer_ops(cfg, rng):
         if kind == "measure":
             _measure_z_inplace(state, arg, rng, need_outcome=False)
@@ -175,11 +187,13 @@ def run_trajectory(
         elif kind == "dephase":
             _dephase_inplace(state, arg)
         else:
-            records.append(record_observables(state, bp, t))
+            rec = record_observables(state, bp, t)
+            times.append(rec.time)
+            rows.append(rec.values())
     return TrajectoryResult(
         trajectory_id=trajectory_index,
-        times=np.asarray([r.time for r in records], dtype=np.int64),
-        records=records,
+        times=np.asarray(times, dtype=np.int64),
+        observables=np.asarray(rows, dtype=np.float64).reshape(len(rows), len(ObservableRecord.FIELDS)),
         final_state=state if keep_final_state else None,
     )
 
@@ -216,13 +230,24 @@ def _trajectory_table(args) -> Tuple[int, np.ndarray, np.ndarray]:
     return index, result.times, result.table()
 
 
-def monte_carlo(cfg: CircuitConfig, threads: int = 1) -> MonteCarloResult:
-    """Average observables over cfg.samples independently seeded trajectories."""
+def monte_carlo(
+    cfg: CircuitConfig, threads: int = 1, executor: Optional[Executor] = None
+) -> MonteCarloResult:
+    """Average observables over cfg.samples independently seeded trajectories.
+
+    With threads > 1 the trajectories run on `executor` if one is given (a
+    sweep passes one pool to all its cells), else on a pool of `threads`
+    processes started for this call.
+    """
     jobs = [(cfg, i) for i in range(cfg.samples)]
     if threads > 1 and cfg.samples > 1:
         chunk = max(1, cfg.samples // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        pool = executor or ProcessPoolExecutor(max_workers=threads)
+        try:
             raw = list(pool.map(_trajectory_table, jobs, chunksize=chunk))
+        finally:
+            if executor is None:
+                pool.shutdown()
         raw.sort(key=lambda item: item[0])
     else:
         raw = [_trajectory_table(job) for job in jobs]
@@ -346,7 +371,7 @@ def write_trajectory_csv(results: List[TrajectoryResult], cfg: CircuitConfig, pa
     columns = "trajectory_id,time," + ",".join(ObservableRecord.FIELDS)
     lines = [_config_line(cfg.to_dict()), columns]
     for res in results:
-        for rec in res.records:
-            vals = ",".join(f"{v:.9g}" for v in rec.values())
-            lines.append(f"{res.trajectory_id},{rec.time},{vals}")
+        for t, row in zip(res.times.tolist(), res.observables.tolist()):
+            vals = ",".join(f"{v:.9g}" for v in row)
+            lines.append(f"{res.trajectory_id},{t},{vals}")
     _write_lines(path, lines)

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
+from . import rowkernel
 from .channels import _dephase_inplace
 from .gf2 import bits_to_int_rows, parity_matmul, rank_int_rows
 from .stabilizer import StabilizerState, _row_interval, canonicalize
@@ -81,8 +82,11 @@ def entropy(state: StabilizerState, region: Iterable[int]) -> int:
     comp = _complement(L, cols)
     if comp.size == 0:
         return int(L - state.num_generators)
-    restricted = state._stabilizer_bits(np.concatenate([comp, comp + L]))
-    rank = rank_int_rows(bits_to_int_rows(restricted))
+    if rowkernel.LIB is not None:
+        rank = rowkernel.region_rank(state, comp)
+    else:
+        restricted = state._stabilizer_bits(np.concatenate([comp, comp + L]))
+        rank = rank_int_rows(bits_to_int_rows(restricted))
     inside = state.num_generators - rank
     return int(cols.size - inside)
 
@@ -103,6 +107,8 @@ def negativity(state: StabilizerState, bp: Bipartition) -> float:
         for site in rest.tolist():
             _dephase_inplace(state, site)
             _dephase_inplace(state, L + site)
+    if rowkernel.LIB is not None:
+        return rowkernel.negativity_rank(state, a) / 2.0
     bits = state._stabilizer_bits(np.concatenate([a, a + L]))
     xa, za = bits[:, : a.size], bits[:, a.size :]
     j = parity_matmul(xa, za.T) ^ parity_matmul(za, xa.T)

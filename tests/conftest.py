@@ -1,5 +1,7 @@
 import pytest
 
+from negsim import rowkernel
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -23,3 +25,10 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "long" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def numpy_path(monkeypatch):
+    """Switch the compiled row kernel off for one test, so every caller runs
+    its numpy path; the replay, property and golden tests rerun under it."""
+    monkeypatch.setattr(rowkernel, "LIB", None)

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+import negsim.analysis
 from negsim.analysis import (
     Curve,
     SweepResult,
@@ -294,6 +295,40 @@ def test_reproduce_scaling_figures_tiny(tmp_path, monkeypatch):
     fit_lines = open(sorted(paths)[1]).read().strip().split("\n")
     assert fit_lines[1] == "c1,c2,r_squared"
     assert len(fit_lines[2].split(",")) == 3
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools negsim.analysis starts, in order."""
+    started = []
+
+    def counting_pool(*args, **kwargs):
+        pool = real(*args, **kwargs)
+        started.append(pool)
+        return pool
+
+    real = negsim.analysis.ProcessPoolExecutor
+    monkeypatch.setattr(negsim.analysis, "ProcessPoolExecutor", counting_pool)
+    return started
+
+
+def test_run_sweep_starts_one_pool_for_all_cells(pools):
+    spec = SweepSpec(L_values=[4, 6], p_values=[0.1, 0.3], seed=5, samples=4, T=8)
+    parallel = run_sweep(spec, threads=2)
+    assert len(pools) == 1
+    serial = run_sweep(spec)
+    assert len(pools) == 1
+    assert [c.late_mean for c in parallel.cells] == [c.late_mean for c in serial.cells]
+    assert [c.late_stderr for c in parallel.cells] == [c.late_stderr for c in serial.cells]
+
+
+def test_reproduce_fig3_uses_threads(tmp_path, monkeypatch, pools):
+    monkeypatch.setitem(_FIG_SCALES["fig3"], "desk", dict(L=8, samples=4))
+    (serial,) = reproduce_figure("fig3", out_dir=str(tmp_path / "serial"), seed=4)
+    assert pools == []
+    (parallel,) = reproduce_figure("fig3", out_dir=str(tmp_path / "parallel"), seed=4, threads=2)
+    assert len(pools) == 1
+    assert open(parallel).read() == open(serial).read()
 
 
 def test_reproduce_fig3_tiny(tmp_path, monkeypatch):

@@ -92,6 +92,18 @@ def test_record_count_matches_stride(T, stride):
     assert all(t % stride == 0 or t == T for t in res.times)
 
 
+def test_trajectory_result_stores_one_observable_array():
+    cfg = CircuitConfig(L=6, p=0.2, T=9, seed=4, observables_every=2)
+    res = run_trajectory(cfg)
+    assert res.observables.shape == (5, 6) and res.observables.dtype == np.float64
+    assert res.table() is res.observables
+    assert [r.time for r in res.records] == res.times.tolist() == [2, 4, 6, 8, 9]
+    for rec, row in zip(res.records, res.observables):
+        assert rec.values() == tuple(row)
+        assert all(type(getattr(rec, name)) is int for name in rec.FIELDS if name != "E")
+        assert type(rec.E) is float
+
+
 def test_vectorized_layer_matches_sequential_gates():
     # the runner applies a whole brickwork row of class maps to an unsigned
     # tableau at once; check every tableau row (stabilizers, destabilizers)

@@ -82,3 +82,24 @@ def test_trajectory_csv_matches_golden(tmp_path):
     out = tmp_path / "trajectories_L8.csv"
     write_trajectory_csv([run_trajectory(cfg, i) for i in range(2)], cfg, out)
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+# The same files from the numpy path, with the compiled row kernel off.
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_cell_matches_golden_on_numpy_path(name, tmp_path, numpy_path):
+    test_cli_cell_matches_golden(name, tmp_path)
+
+
+def test_fig3_desk_histogram_on_numpy_path(tmp_path, numpy_path):
+    test_fig3_desk_histogram_matches_golden(tmp_path)
+
+
+@pytest.mark.parametrize("figure", sorted(TINY_FIGURES))
+def test_tiny_figure_on_numpy_path(figure, tmp_path, monkeypatch, numpy_path):
+    test_tiny_figure_matches_golden(figure, tmp_path, monkeypatch)
+
+
+def test_trajectory_csv_on_numpy_path(tmp_path, numpy_path):
+    test_trajectory_csv_matches_golden(tmp_path)

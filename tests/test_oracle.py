@@ -203,9 +203,10 @@ def test_oracle_check_suite_smoke():
     assert report.max_negativity_dev < 1e-9
 
 
-@pytest.mark.parametrize(
-    "schedule", ["boundary_even_steps", "boundary_every_step", "random_sites(2)"]
-)
+SCHEDULES = ["boundary_even_steps", "boundary_every_step", "random_sites(2)"]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
 def test_replay_trajectory_matches_runner(schedule):
     # the runner's own gate, measurement and dephasing path against dense
     # matrices, every recorded field at every stride plus the final k
@@ -220,6 +221,11 @@ def test_replay_trajectory_matches_runner(schedule):
             assert report.comparisons == len(range(2, 3 * L + 1, 2))
             cases += 1
     assert cases == 8
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_replay_trajectory_on_numpy_path(schedule, numpy_path):
+    test_replay_trajectory_matches_runner(schedule)
 
 
 def _off_by_one_record(original):

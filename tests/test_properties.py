@@ -119,3 +119,15 @@ def test_unsigned_runner_path_tracks_signed_path(L, ops):
         assert validate(unsigned) is None
         assert unsigned._stab == signed._stab
         assert unsigned._rows_int() == signed._rows_int()
+
+
+# Both tests again with the compiled row kernel off: the unsigned numpy path
+# against the signed one and the dense oracle.
+
+
+def test_operation_sequences_on_numpy_path(numpy_path):
+    test_operation_sequences_match_dense_oracle()
+
+
+def test_unsigned_runner_path_on_numpy_path(numpy_path):
+    test_unsigned_runner_path_tracks_signed_path()

@@ -1,0 +1,181 @@
+"""The compiled row kernel against the numpy code it stands in for.
+
+Each update must leave the same tableau bits and stabilizer mask as the
+numpy path after every operation, and draw the same random numbers; each
+rank must equal the int-row elimination's. The numpy side runs with
+rowkernel.LIB set to None.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from negsim import rowkernel
+from negsim.channels import (
+    _apply_tables_inplace,
+    _class_tables,
+    _dephase_inplace,
+    _measure_z_inplace,
+    make_rng,
+)
+from negsim.entanglement import Bipartition, entropy, negativity
+from negsim.gf2 import bits_to_int_rows, rank_int_rows
+from negsim.stabilizer import StabilizerState, product_state, validate
+
+HAS_CC = shutil.which("cc") is not None
+needs_kernel = pytest.mark.skipif(rowkernel.LIB is None, reason="no compiled row kernel")
+
+
+def random_op(rng, L):
+    """One operation as a function of the state: a gate layer on random
+    disjoint site pairs, a Z measurement (returning its outcome and the next
+    draw of its stream) or a dephasing of column c or L + c."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        sites = rng.permutation(L)
+        m = int(rng.integers(1, L // 2 + 1))
+        maps = _class_tables()[rng.integers(720, size=m)]
+        return lambda state: _apply_tables_inplace(state, maps, sites[:m], sites[m : 2 * m])
+    if kind == 1:
+        site, seed = int(rng.integers(L)), int(rng.integers(1 << 30))
+
+        def measure(state):
+            stream = make_rng(seed)
+            outcome = _measure_z_inplace(state, site, stream, need_outcome=False)
+            return outcome, int(stream.integers(1 << 30))
+
+        return measure
+    column = int(rng.integers(2 * L))
+    return lambda state: _dephase_inplace(state, column)
+
+
+def without_kernel(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(rowkernel, "LIB", None)
+        return fn(*args)
+
+
+def random_state(L, ops, seed, signed=False):
+    """An unsigned state after random operations; a signed one is rebuilt
+    from the generator rows with plus signs."""
+    rng = make_rng(seed)
+    state = product_state(L, signed=False)
+    for _ in range(ops):
+        random_op(rng, L)(state)
+    if signed:
+        state = StabilizerState._from_rows(L, state.symplectic_int_rows(), [0] * state.num_generators)
+    return state
+
+
+def test_kernel_is_active_whenever_cc_is_on_path():
+    # a build that silently fell back to numpy would pass every other test
+    assert (rowkernel.LIB is not None) == HAS_CC
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "L, ops",
+    [(2, 150), (5, 150), (31, 150), (32, 150), (33, 150), (64, 120), (65, 120), (160, 80),
+     (1100, 25)],
+)
+def test_updates_match_numpy_path_bit_for_bit(monkeypatch, L, ops):
+    # L = 1100 has 35 words per column: the kernel keeps no fixed-size buffer
+    rng = make_rng(1000 + L)
+    fast = product_state(L, signed=False)
+    slow = fast.copy()
+    for step in range(ops):
+        op = random_op(rng, L)
+        assert op(fast) == without_kernel(monkeypatch, op, slow), step
+        assert fast._stab == slow._stab, step
+        assert np.array_equal(fast._cols, slow._cols), step
+    assert validate(fast) is None
+
+
+@needs_kernel
+@pytest.mark.parametrize("L, signed", [(2, False), (7, True), (33, False), (64, True), (97, False)])
+def test_ranks_match_int_row_elimination(monkeypatch, L, signed):
+    rng = make_rng(L)
+    for trial in range(4):
+        state = random_state(L, 3 * L, seed=10 * L + trial, signed=signed)
+        for _ in range(6):
+            region = rng.choice(L, size=int(rng.integers(1, L + 1)), replace=False)
+            columns = np.concatenate([region, region + L])
+            want = rank_int_rows(bits_to_int_rows(state._stabilizer_bits(columns)))
+            assert rowkernel.region_rank(state, region) == want
+            assert entropy(state, region) == without_kernel(monkeypatch, entropy, state, region)
+            order = rng.permutation(L)  # A and B need not cover the chain
+            size_a = int(rng.integers(1, L))
+            size_b = int(rng.integers(1, L - size_a + 1))
+            bp = Bipartition(order[:size_a].tolist(), order[size_a : size_a + size_b].tolist())
+            before = state.copy()
+            got = negativity(state, bp)
+            assert got == without_kernel(monkeypatch, negativity, state, bp)
+            assert state == before  # the traced-out copy leaves the input alone
+
+
+@needs_kernel
+def test_kernel_rejects_sites_out_of_range_and_changes_nothing():
+    state = random_state(5, 15, seed=2)
+    before = state.copy()
+    maps = _class_tables()[[0]]
+    calls = [
+        lambda: rowkernel.measure_z(state, 5),
+        lambda: rowkernel.measure_z(state, -1),
+        lambda: rowkernel.dephase(state, 10),
+        lambda: rowkernel.apply_gates(state, maps, [4], [5]),
+        lambda: rowkernel.apply_gates(state, maps[[0, 0]], [0, 2], [1, -3]),
+        lambda: rowkernel.region_rank(state, [0, 5]),
+        lambda: rowkernel.negativity_rank(state, [-1]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+        assert state._stab == before._stab and np.array_equal(state._cols, before._cols)
+    with pytest.raises(ValueError):
+        rowkernel.apply_gates(state, maps, [0, 2], [1, 3])  # one map for two gates
+
+
+@needs_kernel
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    proc = subprocess.run(
+        ["cc", *rowkernel.FLAGS, "-Wall", "-Wextra", "-o", str(tmp_path / "k.so"),
+         str(rowkernel.SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
+@needs_kernel
+def test_build_renames_into_cache_and_warm_load_skips_the_compiler(tmp_path, monkeypatch):
+    monkeypatch.setattr(rowkernel, "CACHE_DIRS", (tmp_path,))
+    assert rowkernel.load() is not None
+    name = rowkernel.library_name(rowkernel.SOURCE.read_bytes())
+    assert [p.name for p in tmp_path.iterdir()] == [name]  # no temporary file left
+
+    def no_compiler(path):
+        raise AssertionError("the compiler ran on a warm cache")
+
+    monkeypatch.setattr(rowkernel, "_compile", no_compiler)
+    assert rowkernel.load() is not None
+
+
+@needs_kernel
+def test_warm_import_needs_no_compiler_on_path():
+    # the package's own cache is warm since this process imported it
+    src = str(Path(rowkernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PATH="", PYTHONPATH=src)
+    code = "import negsim.rowkernel as k; print(k.LIB is not None)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.stdout.strip() == "True", proc.stderr
+
+
+def test_no_compiler_means_numpy_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(rowkernel, "CACHE_DIRS", (tmp_path,))
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    assert rowkernel.load() is None
+    assert list(tmp_path.iterdir()) == []
