@@ -16,6 +16,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import rowkernel
 from .channels import make_rng
 
 __all__ = [
@@ -156,6 +157,8 @@ def find_intermediate_D(n: int, k: int) -> Optional[Permutation]:
 
 # -- polymer lattice -----------------------------------------------------------
 
+SAMPLE_CHUNK = 1 << 17  # doubles per draw in PolymerLattice.sample (1 MB)
+
 
 @dataclass
 class PolymerLattice:
@@ -176,6 +179,8 @@ class PolymerLattice:
             raise ValueError("bad lattice dimensions")
         if self.measured.shape != (self.width, self.height + 1, 2):
             raise ValueError("measured array shape mismatch")
+        if self.measured.dtype != np.bool_:
+            raise ValueError("measured must be a bool array")
 
     @classmethod
     def sample(
@@ -186,14 +191,26 @@ class PolymerLattice:
         height: Optional[int] = None,
         energy_unit: float = 1.0,
     ) -> "PolymerLattice":
-        """I.i.d. Bernoulli(p) bonds; rng may be a Generator or a seed."""
+        """I.i.d. Bernoulli(p) bonds; rng may be a Generator or a seed.
+
+        The bonds are rng.random((width, height + 1, 2)) < p, drawn in
+        chunks of SAMPLE_CHUNK doubles so that no full-size float array
+        exists: the same doubles in the same order, and the same state of
+        rng afterwards.
+        """
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if not isinstance(rng, np.random.Generator):
             rng = make_rng(rng)
         if height is None:
             height = width // 2
-        measured = rng.random((width, height + 1, 2)) < p
+        measured = np.empty((width, height + 1, 2), dtype=bool)
+        flat = measured.reshape(-1)
+        buf = np.empty(min(SAMPLE_CHUNK, flat.size))
+        for start in range(0, flat.size, SAMPLE_CHUNK):
+            chunk = buf[: flat.size - start]
+            rng.random(out=chunk)
+            np.less(chunk, p, out=flat[start : start + chunk.size])
         return cls(width, height, measured, p, energy_unit)
 
 
@@ -220,28 +237,30 @@ def _check_query(lat: PolymerLattice, q: PathQuery) -> None:
         raise ValueError("odd span: no directed path returns to y = 0")
 
 
-def _bond_costs(lat: PolymerLattice) -> np.ndarray:
-    # float32 is exact for these small integer energies (< 2^24)
-    return (~lat.measured).astype(np.float32)
+# Unreachable states in the integer DP tables; INF + span stays in int32.
+_INF = 1 << 30
 
 
-def _min_energy(lat: PolymerLattice, q: PathQuery, costs: Optional[np.ndarray] = None) -> int:
+def _forward_dp(lat: PolymerLattice, q: PathQuery) -> int:
+    """_min_energy in numpy: the energy, or -1 when no path exists."""
+    m = lat.measured
+    best = np.full(lat.height + 1, _INF, dtype=np.int32)
+    best[0] = 0
+    for x in range(q.x_start, q.x_end):
+        new = np.full_like(best, _INF)
+        new[1:] = best[:-1] + ~m[x, :-1, 0]
+        np.minimum(new[:-1], best[1:] + ~m[x, 1:, 1], out=new[:-1])
+        best = new
+    return int(best[0]) if best[0] < _INF else -1
+
+
+def _min_energy(lat: PolymerLattice, q: PathQuery) -> int:
     """Forward DP, energy only (in bond units, before energy_unit scaling)."""
     _check_query(lat, q)
-    if costs is None:
-        costs = _bond_costs(lat)
-    h = lat.height
-    best = np.full(h + 1, np.inf, dtype=np.float32)
-    best[0] = 0.0
-    for x in range(q.x_start, q.x_end):
-        down, up = costs[x, :, 0], costs[x, :, 1]
-        new = np.full_like(best, np.inf)
-        new[1:] = best[:-1] + down[:-1]
-        np.minimum(new[:-1], best[1:] + up[1:], out=new[:-1])
-        best = new
-    if not np.isfinite(best[0]):
+    energy = _forward_dp(lat, q) if rowkernel.LIB is None else rowkernel.polymer_energy(lat, q)
+    if energy < 0:
         raise ValueError("no feasible path (height too small for this span)")
-    return int(best[0])
+    return energy
 
 
 def min_path_energy(
@@ -254,27 +273,26 @@ def min_path_energy(
     sequence among all optima.
     """
     _check_query(lat, q)
-    costs = _bond_costs(lat)
+    m = lat.measured
     h, span = lat.height, q.span
     # suffix[i, d]: minimal cost from (x_start + i, -d) to the end point
-    suffix = np.full((span + 1, h + 1), np.inf, dtype=np.float32)
-    suffix[span, 0] = 0.0
+    suffix = np.full((span + 1, h + 1), _INF, dtype=np.int32)
+    suffix[span, 0] = 0
     for i in range(span - 1, -1, -1):
         x = q.x_start + i
-        down, up = costs[x, :, 0], costs[x, :, 1]
         nxt = suffix[i + 1]
         cur = suffix[i]
-        cur[:-1] = down[:-1] + nxt[1:]
-        np.minimum(cur[1:], up[1:] + nxt[:-1], out=cur[1:])
-    if not np.isfinite(suffix[0, 0]):
+        cur[:-1] = ~m[x, :-1, 0] + nxt[1:]
+        np.minimum(cur[1:], ~m[x, 1:, 1] + nxt[:-1], out=cur[1:])
+    if suffix[0, 0] >= _INF:
         raise ValueError("no feasible path (height too small for this span)")
 
     path = [(q.x_start, 0)]
     d = 0
     for i in range(span):
         x = q.x_start + i
-        up_cost = costs[x, d, 1] + suffix[i + 1, d - 1] if d >= 1 else np.inf
-        down_cost = costs[x, d, 0] + suffix[i + 1, d + 1] if d + 1 <= h else np.inf
+        up_cost = (not m[x, d, 1]) + suffix[i + 1, d - 1] if d >= 1 else _INF
+        down_cost = (not m[x, d, 0]) + suffix[i + 1, d + 1] if d + 1 <= h else _INF
         d = d - 1 if up_cost <= down_cost else d + 1
         path.append((x + 1, -d))
     energy = float(suffix[0, 0]) * lat.energy_unit
@@ -335,10 +353,7 @@ def domain_wall_negativity(
     if lengths == "geometric":
         energies = tuple(float(q.span) * lat.energy_unit for q in queries)
     elif lengths == "energetic":
-        costs = _bond_costs(lat)
-        energies = tuple(
-            float(_min_energy(lat, q, costs)) * lat.energy_unit for q in queries
-        )
+        energies = tuple(float(_min_energy(lat, q)) * lat.energy_unit for q in queries)
     else:
         raise ValueError("lengths must be 'energetic' or 'geometric'")
     e_a, e_b, e_ab = energies

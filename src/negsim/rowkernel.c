@@ -12,6 +12,11 @@
  * bits. Nothing here reads or writes a sign. A site or column out of range
  * makes a call return -2 before it changes anything; the Python side checks
  * the tableau's shape and dtype and the length of every byte argument.
+ *
+ * The library also holds polymer_energy, the ground-state DP of
+ * polymer._min_energy on the bool bond lattice of a PolymerLattice. It
+ * returns -2 for a query out of range before it reads the lattice; the
+ * Python side checks the lattice's shape, dtype and layout.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -292,4 +297,37 @@ int negativity_rank(const u64 *t, int L, const unsigned char *stab,
     free(J);
     free(pivot);
     return rank;
+}
+
+/* polymer._min_energy on the C-contiguous (w, h + 1, 2) bool lattice m:
+ * m[x][d][0] is the bond from depth d of column x down to d + 1, m[x][d][1]
+ * the one up to d - 1. best[d] holds the most measured bonds on a path from
+ * (a, 0) to the current column at depth d, over the band d <= min(x - a,
+ * b - x, h) that can still return to (b, 0); a column's depths all share
+ * one parity, so the next column's values fill the other parity in place.
+ * Returns b - a minus the count at (b, 0), -1 when no path exists, -2 for a
+ * query out of range (before reading m) and -3 when out of memory. */
+int polymer_energy(const unsigned char *m, int w, int h, int a, int b)
+{
+    if (h < 0 || a < 0 || b > w || a >= b)
+        return -2;
+    int top = h < (b - a) / 2 ? h : (b - a) / 2, none = -(1 << 30);
+    int *best = malloc(sizeof *best * ((size_t)top + 2));
+    if (!best)
+        return -3;
+    best[0] = 0;
+    for (int x = a, lim = 0; x < b; x++) {
+        const unsigned char *col = m + (size_t)x * (h + 1) * 2;
+        int next = x + 1 - a < b - x - 1 ? x + 1 - a : b - x - 1;
+        next = next < top ? next : top;
+        for (int d = (x + 1 - a) & 1; d <= next; d += 2) {
+            int down = d >= 1 ? best[d - 1] + col[2 * d - 2] : none;
+            int up = d + 1 <= lim ? best[d + 1] + col[2 * d + 3] : none;
+            best[d] = down > up ? down : up;
+        }
+        lim = next;
+    }
+    int count = (b - a) % 2 ? -1 : best[0];
+    free(best);
+    return count < 0 ? -1 : b - a - count;
 }

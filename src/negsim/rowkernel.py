@@ -1,11 +1,14 @@
-"""The compiled row kernel under the unsigned runner and the GF(2) ranks.
+"""The compiled row kernel under the unsigned runner, the GF(2) ranks and
+the polymer DP.
 
 rowkernel.c makes, on the column-packed tableau of negsim.stabilizer, the
 same row operations as the numpy code it stands in for, so both leave
-bit-identical tableaux. It serves four calls, each behind one dispatch line:
+bit-identical tableaux. It serves these calls, each behind one dispatch line:
 `channels._measure_z_inplace`, `_apply_tables_inplace` and
 `_dephase_inplace` on unsigned states, and the ranks of
 `entanglement.entropy` and `negativity` on any state (a rank reads no sign).
+It also holds the ground-state DP of `polymer._min_energy`, which reads the
+bool bond lattice and returns the same integer energy as the numpy DP.
 
 On first import the source is compiled with `cc -O2 -shared -fPIC` into
 `__pycache__/rowkernel-<hash>.so` beside this file (or `~/.cache/negsim/` when
@@ -82,8 +85,10 @@ def load() -> Optional[ctypes.CDLL]:
 
 
 LIB = load()
+if LIB is not None:  # one call per lattice: declared types cost nothing there
+    LIB.polymer_energy.argtypes = (ctypes.c_void_p,) + (ctypes.c_int,) * 4
 
-# The kernel's functions are called without declared argument types, which
+# The tableau functions are called without declared argument types, which
 # halves ctypes' per-call cost: every argument is a Python int (C int), a
 # bytes object (a pointer to its data) or the tableau's c_void_p. The
 # tableau last passed in keeps its c_void_p here, because reading
@@ -160,3 +165,17 @@ def region_rank(state, sites) -> int:
 def negativity_rank(state, sites) -> int:
     """Rank of the anticommutation form of the stabilizer rows on sites."""
     return _rank(LIB.negativity_rank, state, sites)
+
+
+def polymer_energy(lat, q) -> int:
+    """Ground-state energy of a path from (q.x_start, 0) to (q.x_end, 0) on
+    the polymer lattice lat, in bond units; -1 when no path exists."""
+    m = lat.measured
+    if m.dtype != np.bool_ or not m.flags.c_contiguous or m.shape != (lat.width, lat.height + 1, 2):
+        raise ValueError("the lattice must be a C-contiguous (width, height + 1, 2) bool array")
+    energy = LIB.polymer_energy(m.ctypes.data, lat.width, lat.height, q.x_start, q.x_end)
+    if energy == -2:
+        raise ValueError("query columns out of range")
+    if energy == -3:
+        raise MemoryError("row kernel could not allocate its polymer buffer")
+    return energy

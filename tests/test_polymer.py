@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from negsim import polymer
 from negsim.channels import make_rng
 from negsim.polymer import (
+    SAMPLE_CHUNK,
     PathQuery,
     Permutation,
     PolymerLattice,
@@ -141,6 +143,25 @@ def test_lattice_sampling_and_validation():
         PolymerLattice.sample(8, 1.5, 0)
     with pytest.raises(ValueError):
         PolymerLattice(4, 2, np.zeros((4, 2, 2), dtype=bool), 0.1)
+    # ints and uint8 ones are no "measured" flags: they gave energies -4 and 1016
+    for measured in (np.zeros((4, 3, 2), dtype=int), np.ones((4, 3, 2), dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            PolymerLattice(4, 2, measured, 0.1)
+
+
+@pytest.mark.parametrize("chunk", [SAMPLE_CHUNK, 7])
+@pytest.mark.parametrize(
+    "width, height, p",
+    [(8, 4, 0.3), (300, 7, 0.1), (256, 255, 0.5), (512, 255, 0.0), (1000, 600, 0.1), (40, 61, 1.0)],
+)
+def test_chunked_sampler_matches_one_shot_draw(monkeypatch, chunk, width, height, p):
+    # (256, 255) and (512, 255) draw exactly one and two full chunks of
+    # 2^17 doubles, (1000, 600) nine and a part; with chunk 7 all are uneven
+    monkeypatch.setattr(polymer, "SAMPLE_CHUNK", chunk)
+    rng, ref = make_rng(width), make_rng(width)
+    lat = PolymerLattice.sample(width, p, rng, height=height)
+    assert np.array_equal(lat.measured, ref.random((width, height + 1, 2)) < p)
+    assert rng.random() == ref.random()
 
 
 def test_query_validation():
@@ -286,6 +307,30 @@ def test_kpz_scan_fits_small():
     assert scan.r2_mean >= scan.r2_mean_linear
     assert scan.two_beta is not None
     assert (scan.mean_energy[1:] > scan.mean_energy[:-1]).all()
+
+
+# The tests of _min_energy's callers again with the compiled row kernel off,
+# which runs its numpy DP.
+
+
+def test_domain_wall_nonnegative_on_numpy_path(numpy_path):
+    test_domain_wall_nonnegative_and_zero_on_clean_lattice()
+
+
+def test_domain_wall_brute_force_on_numpy_path(numpy_path):
+    test_domain_wall_brute_force_equality()
+
+
+def test_domain_wall_split_validation_on_numpy_path(numpy_path):
+    test_domain_wall_split_validation()
+
+
+def test_kpz_scan_degenerate_limits_on_numpy_path(numpy_path):
+    test_kpz_scan_degenerate_limits()
+
+
+def test_kpz_scan_fits_small_on_numpy_path(numpy_path):
+    test_kpz_scan_fits_small()
 
 
 def test_disorder_statistics_match_bernoulli():

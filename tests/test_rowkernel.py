@@ -2,10 +2,12 @@
 
 Each update must leave the same tableau bits and stabilizer mask as the
 numpy path after every operation, and draw the same random numbers; each
-rank must equal the int-row elimination's. The numpy side runs with
+rank must equal the int-row elimination's; each polymer energy must equal
+the numpy DP's, or fail with the same ValueError. The numpy side runs with
 rowkernel.LIB set to None.
 """
 
+import copy
 import os
 import shutil
 import subprocess
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negsim import rowkernel
+from negsim import polymer, rowkernel
 from negsim.channels import (
     _apply_tables_inplace,
     _class_tables,
@@ -25,6 +27,7 @@ from negsim.channels import (
 )
 from negsim.entanglement import Bipartition, entropy, negativity
 from negsim.gf2 import bits_to_int_rows, rank_int_rows
+from negsim.polymer import PathQuery, PolymerLattice
 from negsim.stabilizer import StabilizerState, product_state, validate
 
 HAS_CC = shutil.which("cc") is not None
@@ -138,6 +141,59 @@ def test_kernel_rejects_sites_out_of_range_and_changes_nothing():
         assert state._stab == before._stab and np.array_equal(state._cols, before._cols)
     with pytest.raises(ValueError):
         rowkernel.apply_gates(state, maps, [0, 2], [1, 3])  # one map for two gates
+
+
+def polymer_dp(lat, q):
+    """_min_energy's energy, or the message of the ValueError it raises."""
+    try:
+        return polymer._min_energy(lat, q)
+    except ValueError as err:
+        return str(err)
+
+
+@needs_kernel
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 13, 24])
+def test_polymer_dp_matches_numpy_path(monkeypatch, width):
+    # every height from 0 (no path) to the width, every sub-span (odd ones
+    # and spans too deep for the height fail alike)
+    rng = make_rng(width)
+    for height in range(width + 1):
+        p = float(rng.choice([0.0, 1.0, rng.random()]))
+        lat = PolymerLattice.sample(width, p, rng, height=height)
+        for a in range(width):
+            for b in range(a + 1, width + 1):
+                q = PathQuery(a, b)
+                assert polymer_dp(lat, q) == without_kernel(monkeypatch, polymer_dp, lat, q)
+
+
+@needs_kernel
+@pytest.mark.parametrize("height", [0, 1, 2, 37, 100, 150])
+def test_polymer_dp_matches_numpy_path_wide(monkeypatch, height):
+    rng = make_rng(200 + height)
+    lat = PolymerLattice.sample(200, 0.2, rng, height=height)
+    for a, b in [(0, 200), (0, 2), (1, 199), (60, 180), (198, 200)]:
+        q = PathQuery(a, b)
+        assert polymer_dp(lat, q) == without_kernel(monkeypatch, polymer_dp, lat, q)
+
+
+@needs_kernel
+def test_polymer_kernel_checks_lattice_and_query():
+    lat = PolymerLattice.sample(8, 0.4, 3)
+    for q in (PathQuery(0, 10), PathQuery(-2, 4), PathQuery(6, 10)):
+        with pytest.raises(ValueError, match="out of range"):
+            rowkernel.polymer_energy(lat, q)
+    assert rowkernel.polymer_energy(lat, PathQuery(0, 3)) == -1  # odd: no path back to y = 0
+    # the C side refuses these before it reads the lattice: here a null pointer
+    for args in ((8, 4, 0, 10), (8, 4, -2, 4), (8, 4, 4, 4), (8, -1, 0, 2)):
+        assert rowkernel.LIB.polymer_energy(None, *args) == -2
+    # fields set after construction, which __post_init__ does not see
+    for field, value in [("measured", lat.measured.astype(np.uint8)),
+                         ("measured", np.asfortranarray(lat.measured)),
+                         ("measured", lat.measured[:, :4]), ("height", 5)]:
+        wrong = copy.copy(lat)
+        setattr(wrong, field, value)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            rowkernel.polymer_energy(wrong, PathQuery(0, 8))
 
 
 @needs_kernel
