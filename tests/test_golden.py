@@ -29,6 +29,10 @@ CASES = {
         "run", "--L", "12", "--p", "0.15", "--samples", "4", "--seed", "6",
         "--schedule", "random_sites(2)",
     ],
+    # about 12 random outcomes per layer: the runner's batched outcome draw
+    "run_L48_p03.csv": [
+        "run", "--L", "48", "--p", "0.3", "--samples", "2", "--seed", "7",
+    ],
     "sweep_2x2.csv": [
         "sweep", "--L", "8,12", "--p", "0.1,0.2", "--samples", "4", "--seed", "11",
     ],
