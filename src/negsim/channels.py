@@ -373,28 +373,45 @@ def _measure_inplace(
 
 
 def _measure_z_inplace(
-    state: StabilizerState, site: int, rng: Rng, need_outcome: bool
+    state: StabilizerState, site: int, rng: Optional[Rng], need_outcome: bool
 ) -> Optional[int]:
-    """Runner path for h = Z_site: the anticommuting rows are column X_site."""
+    """Runner path for h = Z_site: the anticommuting rows are column X_site.
+
+    With rng None (an unsigned state only) nothing is drawn: the return value
+    says whether the outcome was random, and the caller draws its bit.
+    """
     if rowkernel.LIB is not None and state._neg is None and not need_outcome:
-        return _uniform_outcome(rng) if rowkernel.measure_z(state, site) else None
+        random = rowkernel.measure_z(state, site)
+        if rng is None:
+            return random
+        return _uniform_outcome(rng) if random else None
     return _collapse(
         state, _column_int(state, site), 1 << (state.num_qubits + site), 1, rng, need_outcome
     )
 
 
 def _collapse(
-    state: StabilizerState, anti: int, h: int, h_sign: int, rng: Rng, need_outcome: bool
+    state: StabilizerState,
+    anti: int,
+    h: int,
+    h_sign: int,
+    rng: Optional[Rng],
+    need_outcome: bool,
 ) -> Optional[int]:
     """The one measurement update: stabilizer._collapse_rows, then the outcome.
 
     Cases (b) and (c) draw one rng.integers(2) and give the new stabilizer
     the outcome's sign; case (a) draws nothing and reads the outcome as the
-    sign of h in the group.
+    sign of h in the group. With rng None the state must be unsigned; then
+    nothing is drawn and the return value is whether the outcome was random.
     """
     if need_outcome:
         state._require_signs("an outcome-returning measurement")
+    if rng is None and state._neg is not None:
+        raise ValueError("a signed state's measurement needs rng to draw its outcome")
     p = _collapse_rows(state, anti, h)
+    if rng is None:
+        return p >= 0
     if p >= 0:
         outcome = _uniform_outcome(rng)
         if state._neg is not None:

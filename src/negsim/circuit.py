@@ -9,6 +9,10 @@ Seeding contract: trajectory i draws from SeedSequence(seed, spawn_key=(i,)),
 and aggregation is done in trajectory order, so results are bit-identical
 for any worker count. The draw order is part of the contract; `_layer_ops`
 owns it, and both `run_trajectory` and `oracle.replay_trajectory` walk it.
+A layer's Z measurements are one op: the runner measures its sites, then
+draws the bits of the random outcomes among them (batched when there are
+four or more), and the dense replay draws each bit as it measures; both
+leave the stream in the same state.
 """
 
 from __future__ import annotations
@@ -136,15 +140,19 @@ class TrajectoryResult:
 def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
     """Yield one trajectory's operations as (t, kind, arg), in RNG draw order.
 
-    Per layer t = 1..T: ("gates", (cols, sym, signs)) after
-    rng.integers(720, size=n) gate classes and rng.integers(16, size=n) sign
-    bits for the n gates on sites (cols, cols + 1), from site 0 on odd t and
-    site 1 on even t; ("measure", site) for each site of rng.random(L) < p in
-    site order, drawn only when p > 0, and before resuming the consumer draws
-    one rng.integers(2) exactly when the outcome is random (anticommuting or
-    appended); ("dephase", site) for sites 0 and L - 1 on the boundary stride,
-    or the sorted sites of rng.choice(L, size=m, replace=False) for
-    random_sites(m); ("record", None) every observables_every layers and at T.
+    Per layer t = 1..T:
+    - ("gates", (cols, sym, signs)) after rng.integers(720, size=n) gate
+      classes and rng.integers(16, size=n) sign bits for the n gates on sites
+      (cols, cols + 1), from site 0 on odd t and site 1 on even t;
+    - ("measure", sites) once, with the sites of rng.random(L) < p in site
+      order (drawn only when p > 0, and yielded only when some site is hit).
+      Before resuming, the consumer measures them in order and then draws one
+      outcome bit per random outcome (anticommuting or appended), in site
+      order: n scalar rng.integers(2) calls or one rng.integers(2, size=n),
+      which leave the stream in the same state (`_draw_outcomes`);
+    - ("dephase", site) for sites 0 and L - 1 on the boundary stride, or the
+      sorted sites of rng.choice(L, size=m, replace=False) for random_sites(m);
+    - ("record", None) every observables_every layers and at T.
     The runner's state carries no signs, yet every one of these draws is made.
     """
     L, T, stride = cfg.L, cfg.steps, cfg.observables_every
@@ -155,8 +163,9 @@ def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
             sym = rng.integers(720, size=cols.size)
             yield t, "gates", (cols, sym, rng.integers(16, size=cols.size))
         if cfg.p > 0:
-            for site in np.nonzero(rng.random(L) < cfg.p)[0].tolist():
-                yield t, "measure", site
+            sites = np.nonzero(rng.random(L) < cfg.p)[0].tolist()
+            if sites:
+                yield t, "measure", sites
         if bath == "boundary":
             if t % param == 0:
                 yield t, "dephase", 0
@@ -166,6 +175,17 @@ def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
                 yield t, "dephase", site
         if t % stride == 0 or t == T:
             yield t, "record", None
+
+
+def _draw_outcomes(rng: np.random.Generator, n: int) -> None:
+    """Draw and drop n outcome bits: n scalar rng.integers(2) calls, or for
+    n >= 4 one rng.integers(2, size=n), which leaves PCG64 in the same state
+    and costs about as much as three scalar calls."""
+    if n >= 4:
+        rng.integers(2, size=n)
+    else:
+        for _ in range(n):
+            rng.integers(2)
 
 
 def run_trajectory(
@@ -180,7 +200,11 @@ def run_trajectory(
     rows: List[Tuple[float, ...]] = []
     for t, kind, arg in _layer_ops(cfg, rng):
         if kind == "measure":
-            _measure_z_inplace(state, arg, rng, need_outcome=False)
+            random = 0  # the unsigned state needs no outcome: draw the layer's bits after it
+            for site in arg:
+                if _measure_z_inplace(state, site, None, need_outcome=False):
+                    random += 1
+            _draw_outcomes(rng, random)
         elif kind == "gates":
             cols, sym, _ = arg  # the sign bits are unused unsigned
             _apply_tables_inplace(state, maps[sym], cols, cols + 1)

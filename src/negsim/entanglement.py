@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -58,37 +59,65 @@ class Bipartition:
         return tuple(sorted(self.region_a + self.region_b))
 
 
-def _region_columns(L: int, region: Sequence[int]) -> np.ndarray:
-    cols = np.asarray(sorted(region), dtype=np.int64)
+class _Sites(NamedTuple):
+    """Sorted distinct sites as the ranks read them."""
+
+    sites: Tuple[int, ...]
+    raw: bytes  # their int64 bytes, for the row kernel
+    columns: np.ndarray  # their X then Z tableau columns, for the numpy path
+
+
+class _Split(NamedTuple):
+    region: _Sites
+    rest: _Sites  # the complement in the chain
+
+
+def _sites(L: int, sites: np.ndarray) -> _Sites:
+    columns = np.concatenate([sites, sites + L])
+    columns.flags.writeable = False  # one array serves every caller of the cache
+    return _Sites(tuple(sites.tolist()), sites.tobytes(), columns)
+
+
+@lru_cache(maxsize=256)
+def _split(L: int, region: Tuple[int, ...]) -> _Split:
+    """The region's sites and their complement. A site out of range raises
+    ValueError, and lru_cache keeps no exception, so it raises every call."""
+    cols = np.asarray(sorted(set(region)), dtype=np.int64)
     if cols.size and (cols[0] < 0 or cols[-1] >= L):
         raise ValueError("region site out of range")
-    return cols
-
-
-def _complement(L: int, cols: np.ndarray) -> np.ndarray:
     keep = np.ones(L, dtype=bool)
     keep[cols] = False
-    return np.flatnonzero(keep)
+    return _Split(_sites(L, cols), _sites(L, np.flatnonzero(keep)))
+
+
+def _region_key(region: Iterable[int]) -> Tuple[int, ...]:
+    """region as a hashable tuple: itself when it is one."""
+    return region if type(region) is tuple else tuple(region)
+
+
+@lru_cache(maxsize=64)
+def _bipartition_split(L: int, bp: Bipartition) -> Tuple[_Sites, Tuple[int, ...]]:
+    """A's sites and the sites outside A u B, which negativity traces out."""
+    return _split(L, bp.region_a).region, _split(L, bp.joint()).rest.sites
 
 
 def entropy(state: StabilizerState, region: Iterable[int]) -> int:
     """S_R = |R| - |G_R| with G_R the subgroup supported inside R.
 
     |G_R| = k - rank(generators restricted to the complement of R), so only
-    one elimination is needed.
+    one elimination is needed. The split of R is cached per (L, R).
     """
     L = state.num_qubits
-    cols = _region_columns(L, set(region))
-    comp = _complement(L, cols)
-    if comp.size == 0:
-        return int(L - state.num_generators)
+    split = _split(L, _region_key(region))
+    if not split.rest.sites:
+        return L - state.num_generators
     if rowkernel.LIB is not None:
-        rank = rowkernel.region_rank(state, comp)
+        rank = rowkernel.region_rank(state, split.rest.raw)
     else:
-        restricted = state._stabilizer_bits(np.concatenate([comp, comp + L]))
+        restricted = state._stabilizer_bits(split.rest.columns)
         rank = rank_int_rows(bits_to_int_rows(restricted))
     inside = state.num_generators - rank
-    return int(cols.size - inside)
+    return len(split.region.sites) - inside
 
 
 def negativity(state: StabilizerState, bp: Bipartition) -> float:
@@ -96,21 +125,21 @@ def negativity(state: StabilizerState, bp: Bipartition) -> float:
 
     rho_AB's group is the subgroup supported on A u B (Sang et al.,
     arXiv:2012.00031): what is left after dephasing every other site in both
-    Z and X. When A u B is the whole chain that is every generator.
+    Z and X. When A u B is the whole chain that is every generator. The
+    split of bp is cached per (L, bp).
     """
     L = state.num_qubits
-    a = _region_columns(L, bp.region_a)
-    rest = _complement(L, _region_columns(L, bp.joint()))
-    if rest.size:
+    a, traced = _bipartition_split(L, bp)
+    if traced:
         state = state.copy()
         state._neg = None  # dephasing the copy reads and writes no sign
-        for site in rest.tolist():
+        for site in traced:
             _dephase_inplace(state, site)
             _dephase_inplace(state, L + site)
     if rowkernel.LIB is not None:
-        return rowkernel.negativity_rank(state, a) / 2.0
-    bits = state._stabilizer_bits(np.concatenate([a, a + L]))
-    xa, za = bits[:, : a.size], bits[:, a.size :]
+        return rowkernel.negativity_rank(state, a.raw) / 2.0
+    bits = state._stabilizer_bits(a.columns)
+    xa, za = np.hsplit(bits, 2)
     j = parity_matmul(xa, za.T) ^ parity_matmul(za, xa.T)
     return rank_int_rows(bits_to_int_rows(j)) / 2.0
 

@@ -477,9 +477,12 @@ def replay_trajectory(cfg, trajectory_index: int = 0, atol: float = 1e-9) -> Ora
     Runs the trajectory, then walks its layer generator (circuit._layer_ops)
     with a DenseState on a fresh copy of its RNG stream, drawing one outcome
     bit exactly when the dense Born probability is 1/2 (the runner's cases (b)
-    and (c)) and none when it is certain (case (a)). Every recorded field is
-    compared at every recorded time, and the final k against the dense
-    purity. The report counts one circuit and one comparison per record.
+    and (c)) and none when it is certain (case (a)). It draws each bit with a
+    scalar call as it measures the site; the runner draws a layer's bits after
+    its measurements, which leaves the stream in the same state. Every
+    recorded field is compared at every recorded time, and the final k
+    against the dense purity. The report counts one circuit and one
+    comparison per record.
     """
     from .channels import _gate_from_class, _uniform_outcome, trajectory_rng
     from .circuit import _layer_ops, run_trajectory
@@ -499,15 +502,16 @@ def replay_trajectory(cfg, trajectory_index: int = 0, atol: float = 1e-9) -> Ora
             for i, sym, signs in zip(*(a.tolist() for a in arg)):
                 dense = dense.apply_gate(_gate_from_class(sym, signs), i, i + 1)
         elif kind == "measure":
-            prob_up = float(np.real(np.trace(dense.z_projector(arg, 1) @ dense.rho)))
-            if abs(prob_up - 0.5) < atol:
-                outcome = _uniform_outcome(rng)
-            elif min(prob_up, 1.0 - prob_up) < atol:
-                outcome = 1 if prob_up > 0.5 else -1
-            else:
-                failures.append(f"t={t} site {arg}: Born probability {prob_up}")
-                return OracleReport(1, 0, max_s, max_e, max_p, failures)
-            _, dense = dense.project_z(arg, outcome)
+            for site in arg:
+                prob_up = float(np.real(np.trace(dense.z_projector(site, 1) @ dense.rho)))
+                if abs(prob_up - 0.5) < atol:
+                    outcome = _uniform_outcome(rng)
+                elif min(prob_up, 1.0 - prob_up) < atol:
+                    outcome = 1 if prob_up > 0.5 else -1
+                else:
+                    failures.append(f"t={t} site {site}: Born probability {prob_up}")
+                    return OracleReport(1, 0, max_s, max_e, max_p, failures)
+                _, dense = dense.project_z(site, outcome)
         elif kind == "dephase":
             dense = dense.dephase_site(arg)
         else:

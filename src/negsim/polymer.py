@@ -275,27 +275,31 @@ def min_path_energy(
     _check_query(lat, q)
     m = lat.measured
     h, span = lat.height, q.span
-    # suffix[i, d]: minimal cost from (x_start + i, -d) to the end point
-    suffix = np.full((span + 1, h + 1), _INF, dtype=np.int32)
-    suffix[span, 0] = 0
+    # Going left from i = span - 1: down[d] and climb[d] are the minimal costs
+    # from (x_start + i, -d) to the end point through a down and an up step,
+    # nxt[d] the smaller one (the cost from column i + 1 before the update).
+    # up[i, d] records the optimal step (an up-down tie goes up), so the path
+    # needs no (span + 1, h + 1) int32 cost table: 8 MB of bools in place of
+    # 34 MB at width 4096.
+    nxt = np.full(h + 1, _INF, dtype=np.int32)
+    nxt[0] = 0
+    down, climb = np.full(h + 1, _INF, dtype=np.int32), np.full(h + 1, _INF, dtype=np.int32)
+    up = np.empty((span, h + 1), dtype=bool)
     for i in range(span - 1, -1, -1):
         x = q.x_start + i
-        nxt = suffix[i + 1]
-        cur = suffix[i]
-        cur[:-1] = ~m[x, :-1, 0] + nxt[1:]
-        np.minimum(cur[1:], ~m[x, 1:, 1] + nxt[:-1], out=cur[1:])
-    if suffix[0, 0] >= _INF:
+        np.add(~m[x, :-1, 0], nxt[1:], out=down[:-1])
+        np.add(~m[x, 1:, 1], nxt[:-1], out=climb[1:])
+        np.less_equal(climb, down, out=up[i])
+        np.minimum(climb, down, out=nxt)
+    if nxt[0] >= _INF:
         raise ValueError("no feasible path (height too small for this span)")
 
     path = [(q.x_start, 0)]
     d = 0
     for i in range(span):
-        x = q.x_start + i
-        up_cost = (not m[x, d, 1]) + suffix[i + 1, d - 1] if d >= 1 else _INF
-        down_cost = (not m[x, d, 0]) + suffix[i + 1, d + 1] if d + 1 <= h else _INF
-        d = d - 1 if up_cost <= down_cost else d + 1
-        path.append((x + 1, -d))
-    energy = float(suffix[0, 0]) * lat.energy_unit
+        d = d - 1 if up[i, d] else d + 1
+        path.append((q.x_start + i + 1, -d))
+    energy = float(nxt[0]) * lat.energy_unit
     return energy, path
 
 

@@ -299,6 +299,21 @@ int negativity_rank(const u64 *t, int L, const unsigned char *stab,
     return rank;
 }
 
+/* out[i][c] = the X bit at site c of the i-th stabilizer row, rows in
+ * increasing order: the (k, L) 0/1 block of StabilizerState._x, with k the
+ * popcount of stab. Returns k. */
+int stabilizer_x(const u64 *t, int L, const unsigned char *stab, unsigned char *out)
+{
+    int n = 2 * L, S = (L + 63) / 64, i = 0;
+    for (int w = 0; w < S; w++) { /* stabilizer rows sit below L, in word w */
+        const u64 *row = t + (size_t)w * n;
+        for (u64 m = load(stab, w); m; m &= m - 1, i++)
+            for (int c = 0, s = __builtin_ctzll(m); c < L; c++)
+                out[(size_t)i * L + c] = (row[c] >> s) & 1;
+    }
+    return i;
+}
+
 /* polymer._min_energy on the C-contiguous (w, h + 1, 2) bool lattice m:
  * m[x][d][0] is the bond from depth d of column x down to d + 1, m[x][d][1]
  * the one up to d - 1. best[d] holds the most measured bonds on a path from

@@ -6,11 +6,12 @@ same row operations as the numpy code it stands in for, so both leave
 bit-identical tableaux. It serves these calls, each behind one dispatch line:
 `channels._measure_z_inplace`, `_apply_tables_inplace` and
 `_dephase_inplace` on unsigned states, and the ranks of
-`entanglement.entropy` and `negativity` on any state (a rank reads no sign).
+`entanglement.entropy` and `negativity` and the X block of
+`StabilizerState._x` on any state (neither reads a sign).
 It also holds the ground-state DP of `polymer._min_energy`, which reads the
 bool bond lattice and returns the same integer energy as the numpy DP.
 
-On first import the source is compiled with `cc -O2 -shared -fPIC` into
+On first import the source is compiled with `cc -O3 -shared -fPIC` into
 `__pycache__/rowkernel-<hash>.so` beside this file (or `~/.cache/negsim/` when
 that folder is not writable), named by the hash of the source and flags; a
 later import loads that file without running the compiler. The build writes
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 SOURCE = Path(__file__).with_name("rowkernel.c")
-FLAGS = ("-O2", "-shared", "-fPIC")
+FLAGS = ("-O3", "-shared", "-fPIC")  # -O3 vectorizes the column loops
 CACHE_DIRS = (SOURCE.parent / "__pycache__", Path.home() / ".cache" / "negsim")
 
 
@@ -85,8 +86,9 @@ def load() -> Optional[ctypes.CDLL]:
 
 
 LIB = load()
-if LIB is not None:  # one call per lattice: declared types cost nothing there
+if LIB is not None:  # one call per lattice or per k x L block: declared types cost little there
     LIB.polymer_energy.argtypes = (ctypes.c_void_p,) + (ctypes.c_int,) * 4
+    LIB.stabilizer_x.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_void_p)
 
 # The tableau functions are called without declared argument types, which
 # halves ctypes' per-call cost: every argument is a Python int (C int), a
@@ -149,9 +151,18 @@ def apply_gates(state, maps, cols_i, cols_j) -> None:
     ))
 
 
+def stabilizer_x(state) -> np.ndarray:
+    """(k, L) uint8 0/1 X bits of the stabilizer rows, rows in order."""
+    L = state.num_qubits
+    out = np.empty((state.num_generators, L), dtype=np.uint8)
+    LIB.stabilizer_x(_address(state), L, _mask(state), out.ctypes.data)
+    return out
+
+
 def _rank(fn, state, sites) -> int:
-    sites = np.asarray(sites, dtype=np.int64)
-    rank = _checked(fn(_address(state), state.num_qubits, _mask(state), sites.tobytes(), sites.size))
+    """sites: int64 site indices, or their bytes as entanglement caches them."""
+    raw = sites if type(sites) is bytes else np.asarray(sites, dtype=np.int64).tobytes()
+    rank = _checked(fn(_address(state), state.num_qubits, _mask(state), raw, len(raw) >> 3))
     if rank < 0:
         raise MemoryError("row kernel could not allocate its rank buffers")
     return rank

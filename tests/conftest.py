@@ -32,3 +32,11 @@ def numpy_path(monkeypatch):
     """Switch the compiled row kernel off for one test, so every caller runs
     its numpy path; the replay, property and golden tests rerun under it."""
     monkeypatch.setattr(rowkernel, "LIB", None)
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def both_paths(request):
+    """Run a test once as is and once with the row kernel switched off."""
+    if request.param == "numpy":
+        request.getfixturevalue("numpy_path")
+    return request.param

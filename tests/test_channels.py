@@ -252,6 +252,24 @@ def test_fast_z_path_matches_general_measurement():
         assert s_blind == s_fast  # same collapse, same rng stream
 
 
+@pytest.mark.parametrize("site", range(5))
+def test_z_measurement_without_rng_reports_a_random_outcome(both_paths, site):
+    # the runner measures a layer with rng None and draws the random outcomes' bits after it
+    for seed in range(12):
+        signed = random_mixed_state(5, seed=seed + 300)
+        unsigned = signed.copy()
+        unsigned._neg = None
+        drawn, stream = unsigned.copy(), make_rng(seed)
+        random = _measure_z_inplace(unsigned, site, None, need_outcome=False)
+        outcome = _measure_z_inplace(drawn, site, stream, need_outcome=False)
+        assert random is (outcome is not None)
+        assert unsigned._stab == drawn._stab and np.array_equal(unsigned._cols, drawn._cols)
+        before = signed.copy()
+        with pytest.raises(ValueError, match="needs rng"):
+            _measure_z_inplace(signed, site, None, need_outcome=False)
+        assert signed == before and np.array_equal(signed._cols, before._cols)
+
+
 # -- dephasing ----------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from negsim.channels import (
 from negsim.circuit import (
     CircuitConfig,
     MonteCarloResult,
+    _draw_outcomes,
     _layer_ops,
     monte_carlo,
     run_trajectory,
@@ -123,6 +124,34 @@ def test_vectorized_layer_matches_sequential_gates():
             _apply_tables_inplace(state, maps[sym], cols, cols + 1)
             assert state._rows_int() == expected._rows_int()
             assert validate(state) is None
+
+
+@pytest.mark.parametrize("lead", [0, 1])
+@pytest.mark.parametrize("n", range(41))
+def test_batched_outcome_draw_leaves_the_stream_where_scalar_draws_do(n, lead):
+    # PCG64 hands out 32-bit halves, so one lead draw starts the bits mid-word
+    streams = [make_rng(1000 + n) for _ in range(3)]
+    for rng in streams:
+        for _ in range(lead):
+            rng.integers(2)
+    scalar, batched, runner = streams
+    bits = [int(scalar.integers(2)) for _ in range(n)]
+    assert batched.integers(2, size=n).tolist() == bits
+    _draw_outcomes(runner, n)
+    for rng in (batched, runner):
+        assert rng.bit_generator.state == scalar.bit_generator.state
+    after = [(rng.random(), rng.integers(720, size=3).tolist()) for rng in streams]
+    assert after[1] == after[0] and after[2] == after[0]
+
+
+def test_measurements_come_as_one_op_per_layer():
+    cfg = CircuitConfig(L=12, p=0.4, T=9, seed=2)
+    ops = list(_layer_ops(cfg, make_rng(0)))
+    layers = [t for t, kind, _ in ops if kind == "measure"]
+    assert layers and len(layers) == len(set(layers))
+    for _, kind, sites in ops:
+        if kind == "measure":
+            assert sites and sites == sorted(set(sites)) and all(type(s) is int for s in sites)
 
 
 def test_no_measurement_no_bath_stays_pure():

@@ -12,6 +12,7 @@ from negsim.channels import (
     measure_pauli,
     sample_two_qubit_clifford,
 )
+from negsim.circuit import CircuitConfig, run_trajectory
 from negsim.entanglement import (
     Bipartition,
     ObservableRecord,
@@ -23,6 +24,7 @@ from negsim.entanglement import (
     record_observables,
     window_mass,
 )
+from negsim.gf2 import bits_to_int_rows, rank_int_rows
 from negsim.oracle import DenseState, log_negativity
 from negsim.pauli import PauliString
 from negsim.stabilizer import StabilizerState, product_state
@@ -178,3 +180,76 @@ def test_window_mass():
     assert window_mass(counts, 0.45, 0.55) == 0.75
     assert window_mass(counts, 0.0, 1.0) == 1.0
     assert window_mass(np.zeros(11, dtype=np.int64), 0.4, 0.6) == 0.0
+
+
+# -- region forms and the cached region splits ----------------------------------
+
+REGION_FORMS = {
+    "list": list,
+    "list_with_repeats": lambda r: list(r) + list(r)[::-1],
+    "tuple": tuple,
+    "reversed_tuple": lambda r: tuple(reversed(r)),
+    "set": set,
+    "range": lambda r: r,
+    "generator": lambda r: (site for site in r),
+    "int64_ndarray": lambda r: np.array(list(r), dtype=np.int64),
+}
+REGIONS_L6 = [range(0), range(3), range(3, 6), range(0, 6, 2), range(1, 6, 3), range(5, 6), range(6)]
+
+
+def uncached_entropy(state, region):
+    """|R| - (k - rank of the stabilizer rows on the complement of R), with
+    every index array built on the spot."""
+    L = state.num_qubits
+    sites = sorted({int(site) for site in region})
+    comp = [c for c in range(L) if c not in sites]
+    if not comp:
+        return L - state.num_generators
+    bits = state._stabilizer_bits(np.array(comp + [c + L for c in comp], dtype=np.int64))
+    return len(sites) - (state.num_generators - rank_int_rows(bits_to_int_rows(bits)))
+
+
+@pytest.mark.parametrize("form", sorted(REGION_FORMS))
+def test_entropy_accepts_every_region_form(both_paths, form):
+    for seed in range(4):
+        state = random_monitored_state(6, seed=seed + 60, layers=5)
+        dense = DenseState.from_stabilizer(state)
+        for region in REGIONS_L6:
+            got = entropy(state, REGION_FORMS[form](region))
+            assert type(got) is int
+            assert abs(got - dense.entropy(list(region))) < 1e-9, (form, region)
+    cfg = CircuitConfig(L=40, p=0.15, T=60, seed=9, dephasing_schedule="random_sites(2)")
+    state = run_trajectory(cfg, keep_final_state=True).final_state
+    for region in (range(20), range(7, 33), range(0, 40, 3), range(40), range(39, 40)):
+        assert entropy(state, REGION_FORMS[form](region)) == uncached_entropy(state, region)
+
+
+def test_negativity_on_non_covering_splits_matches_dense(both_paths):
+    rng = make_rng(31)
+    for seed in range(6):
+        state = random_monitored_state(6, seed=seed + 80, layers=5)
+        dense = DenseState.from_stabilizer(state)
+        for _ in range(4):
+            order = rng.permutation(6).tolist()
+            size_a = int(rng.integers(1, 5))
+            size_b = int(rng.integers(1, 6 - size_a))
+            a, b = order[:size_a], order[size_a : size_a + size_b]
+            bp = Bipartition(a, b)
+            joint = bp.joint()
+            reduced = DenseState(len(joint), dense.partial_trace(joint))
+            want = log_negativity(reduced, [joint.index(site) for site in bp.region_b])
+            assert abs(negativity(state, bp) - want) < 1e-9, (a, b)
+            assert negativity(state, bp) == negativity(state, Bipartition(set(a), tuple(b)))
+
+
+def test_out_of_range_region_raises_on_every_call(both_paths):
+    state = product_state(4)
+    for region in ([0, 4], (0, 4), (-1,), range(3, 5)):
+        for _ in range(2):  # a cached split must not turn the second call into a hit
+            with pytest.raises(ValueError, match="out of range"):
+                entropy(state, region)
+    for bp in (Bipartition([0], [4]), Bipartition([-1, 0], [1])):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                negativity(state, bp)
+    assert entropy(state, (0, 3)) == 0 and negativity(state, Bipartition([0], [3])) == 0.0

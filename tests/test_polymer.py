@@ -208,6 +208,51 @@ def test_dp_matches_exhaustive_enumeration():
         assert cost == best
 
 
+def optimal_depth_sequences(lat, q):
+    """Every depth sequence of a least-energy path, by exhaustive search."""
+    best, found = None, []
+
+    def walk(x, depths, cost):
+        nonlocal best, found
+        d = depths[-1]
+        if x == q.x_end:
+            if d == 0 and (best is None or cost <= best):
+                found = found + [depths] if cost == best else [depths]
+                best = cost
+            return
+        for step, nd in ((0, d + 1), (1, d - 1)):
+            if 0 <= nd <= min(lat.height, q.x_end - x - 1):
+                walk(x + 1, depths + [nd], cost + (0 if lat.measured[x, d, step] else 1))
+
+    walk(q.x_start, [0], 0)
+    return best, found
+
+
+@pytest.mark.parametrize("width", [2, 7, 12])
+def test_path_dp_matches_enumeration_and_forward_dp_on_sub_spans(both_paths, width):
+    # every height from 0 (no path) up, every sub-span: the energy equals the
+    # exhaustive minimum and _min_energy's, the path is the lexicographically
+    # smallest optimal depth sequence, and infeasible queries fail alike
+    rng = make_rng(300 + width)
+    for height in range(width // 2 + 2):
+        lat = PolymerLattice.sample(width, float(rng.choice([0.0, 1.0, rng.random()])), rng,
+                                    height=height)
+        for a in range(width):
+            for b in range(a + 1, width + 1):
+                q = PathQuery(a, b)
+                best, optimal = optimal_depth_sequences(lat, q)
+                if best is None:
+                    for dp in (min_path_energy, polymer._min_energy):
+                        with pytest.raises(ValueError):
+                            dp(lat, q)
+                    continue
+                energy, path = min_path_energy(lat, q)
+                assert energy == best == min(enumerate_path_energies(lat, q))
+                assert energy == polymer._min_energy(lat, q)
+                assert [x for x, _ in path] == list(range(a, b + 1))
+                assert [-y for _, y in path] == min(optimal)
+
+
 def test_tie_break_prefers_shallow_then_left():
     # no measured bonds: every path costs span, and the winner must hug y = 0
     lat = PolymerLattice.sample(6, 0.0, 0)

@@ -121,6 +121,19 @@ def test_ranks_match_int_row_elimination(monkeypatch, L, signed):
             assert state == before  # the traced-out copy leaves the input alone
 
 
+@pytest.mark.parametrize("L", [2, 31, 32, 33, 64, 65, 160])
+def test_x_block_matches_stabilizer_bits(both_paths, L):
+    states = [StabilizerState(L), product_state(L, signed=False)]  # k = 0 and k = L
+    states += [random_state(L, ops, seed=L + ops) for ops in (L, 3 * L)]
+    states.append(random_state(L, 2 * L, seed=L, signed=True))
+    for state in states:
+        x = state._x
+        want = state._stabilizer_bits(np.arange(L))
+        assert x.dtype == want.dtype == np.uint8 and x.shape == (state.num_generators, L)
+        assert np.array_equal(x, want)
+        assert not x.flags.writeable
+
+
 @needs_kernel
 def test_kernel_rejects_sites_out_of_range_and_changes_nothing():
     state = random_state(5, 15, seed=2)
