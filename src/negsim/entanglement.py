@@ -90,11 +90,6 @@ def _split(L: int, region: Tuple[int, ...]) -> _Split:
     return _Split(_sites(L, cols), _sites(L, np.flatnonzero(keep)))
 
 
-def _region_key(region: Iterable[int]) -> Tuple[int, ...]:
-    """region as a hashable tuple: itself when it is one."""
-    return region if type(region) is tuple else tuple(region)
-
-
 @lru_cache(maxsize=64)
 def _bipartition_split(L: int, bp: Bipartition) -> Tuple[_Sites, Tuple[int, ...]]:
     """A's sites and the sites outside A u B, which negativity traces out."""
@@ -108,7 +103,7 @@ def entropy(state: StabilizerState, region: Iterable[int]) -> int:
     one elimination is needed. The split of R is cached per (L, R).
     """
     L = state.num_qubits
-    split = _split(L, _region_key(region))
+    split = _split(L, region if type(region) is tuple else tuple(region))
     if not split.rest.sites:
         return L - state.num_generators
     if rowkernel.LIB is not None:
