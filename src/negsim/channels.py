@@ -323,6 +323,26 @@ def _apply_tables_inplace(state, maps, cols_i, cols_j, flips=None):
     state._cols[:, idx] = new
 
 
+def _apply_layer(state, columns, gates, sites) -> int:
+    """The runner's one update call between two results it needs: dephase
+    each tableau column of columns (`_dephase_inplace`), apply gates, a
+    ("gates", (cols, sym, signs)) payload of circuit._layer_ops or None, on
+    the pairs (cols, cols + 1), then measure Z on sites in order
+    (`_measure_z_inplace` with no generator). Returns the number of random
+    outcomes, whose bits the caller draws. The state must be unsigned: the
+    gates' sign bits are not applied and no outcome is drawn.
+    """
+    tables = _class_tables()
+    cols, sym = (gates[0], gates[1]) if gates is not None else ((), ())
+    if rowkernel.LIB is not None and state._neg is None:
+        return rowkernel.apply_layer(state, tables, columns, cols, sym, sites)
+    for column in columns:
+        _dephase_inplace(state, column)
+    if gates is not None:
+        _apply_tables_inplace(state, tables[sym], cols, cols + 1)
+    return sum(bool(_measure_z_inplace(state, site, None, need_outcome=False)) for site in sites)
+
+
 def _fold_gate_signs(state, old: np.ndarray, flips: np.ndarray) -> None:
     """Flip each stabilizer sign by the parity of its gates' table flips."""
     rows = np.asarray(state._stabilizer_pairs(), dtype=np.int64)
@@ -375,16 +395,14 @@ def _measure_inplace(
 def _measure_z_inplace(
     state: StabilizerState, site: int, rng: Optional[Rng], need_outcome: bool
 ) -> Optional[int]:
-    """Runner path for h = Z_site: the anticommuting rows are column X_site.
+    """Measure h = Z_site: the anticommuting rows are column X_site.
 
     With rng None (an unsigned state only) nothing is drawn: the return value
-    says whether the outcome was random, and the caller draws its bit.
+    says whether the outcome was random, and the caller draws its bit. The
+    runner's measurements run in the row kernel's apply_layer when it is
+    built (`_apply_layer`), so this is their numpy path.
     """
-    if rowkernel.LIB is not None and state._neg is None and not need_outcome:
-        random = rowkernel.measure_z(state, site)
-        if rng is None:
-            return random
-        return _uniform_outcome(rng) if random else None
+    _check_site(state, site)
     return _collapse(
         state, _column_int(state, site), 1 << (state.num_qubits + site), 1, rng, need_outcome
     )
@@ -459,6 +477,8 @@ def _dephase_inplace(state: StabilizerState, site: int):
     """
     if rowkernel.LIB is not None and state._neg is None:
         return rowkernel.dephase(state, site)
+    if not 0 <= site < 2 * state.num_qubits:
+        raise ValueError(f"column {site} out of range for L={state.num_qubits}")
     hit = _column_int(state, site) & state._stab
     if not hit:
         return

@@ -12,7 +12,9 @@ owns it, and both `run_trajectory` and `oracle.replay_trajectory` walk it.
 A layer's Z measurements are one op: the runner measures its sites, then
 draws the bits of the random outcomes among them (batched when there are
 four or more), and the dense replay draws each bit as it measures; both
-leave the stream in the same state.
+leave the stream in the same state. The runner applies the ops it has
+buffered in one `channels._apply_layer` call per flush: at each measure op,
+at each record and at the end.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .channels import (
+# The runner calls only _apply_layer; bench/workloads.py still wraps
+# _apply_tables_inplace, _measure_z_inplace and _dephase_inplace here by
+# name, so the names stay importable.
+from .channels import (  # noqa: F401
+    _apply_layer,
     _apply_tables_inplace,
-    _class_tables,
     _dephase_inplace,
     _measure_z_inplace,
     trajectory_rng,
@@ -143,7 +148,8 @@ def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
     Per layer t = 1..T:
     - ("gates", (cols, sym, signs)) after rng.integers(720, size=n) gate
       classes and rng.integers(16, size=n) sign bits for the n gates on sites
-      (cols, cols + 1), from site 0 on odd t and site 1 on even t;
+      (cols, cols + 1), from site 0 on odd t and site 1 on even t (cols is
+      one read-only array per parity, made once per trajectory);
     - ("measure", sites) once, with the sites of rng.random(L) < p in site
       order (drawn only when p > 0, and yielded only when some site is hit).
       Before resuming, the consumer measures them in order and then draws one
@@ -157,8 +163,11 @@ def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
     """
     L, T, stride = cfg.L, cfg.steps, cfg.observables_every
     bath, param = cfg.schedule()
+    bricks = (np.arange(1, L - 1, 2), np.arange(0, L - 1, 2))  # even t, odd t
+    for cols in bricks:
+        cols.flags.writeable = False  # every layer of its parity yields this array
     for t in range(1, T + 1):
-        cols = np.arange(1 - t % 2, L - 1, 2)
+        cols = bricks[t % 2]
         if cols.size:
             sym = rng.integers(720, size=cols.size)
             yield t, "gates", (cols, sym, rng.integers(16, size=cols.size))
@@ -191,29 +200,38 @@ def _draw_outcomes(rng: np.random.Generator, n: int) -> None:
 def run_trajectory(
     cfg: CircuitConfig, trajectory_index: int = 0, keep_final_state: bool = False
 ) -> TrajectoryResult:
+    """One trajectory of cfg. The ops of `_layer_ops` are buffered and
+    applied by one `_apply_layer` call wherever a result is needed: at a
+    layer's measure op (its random outcomes decide the bits to draw), at a
+    record, and at the end. A call makes pending dephasing, then gates, then
+    measurements, so gates still pending when the next gates or dephase op
+    comes (their layer measured no site) are flushed first."""
     rng = trajectory_rng(cfg.seed, trajectory_index)
     state = product_state(cfg.L, signed=False)  # no recorded observable reads a sign
     bp = Bipartition.contiguous_halves(cfg.L)
-    maps = _class_tables()
 
     times: List[int] = []
     rows: List[Tuple[float, ...]] = []
+    columns: List[int] = []  # dephasing columns not yet applied
+    gates = None  # a gates payload not yet applied
     for t, kind, arg in _layer_ops(cfg, rng):
         if kind == "measure":
-            random = 0  # the unsigned state needs no outcome: draw the layer's bits after it
-            for site in arg:
-                if _measure_z_inplace(state, site, None, need_outcome=False):
-                    random += 1
-            _draw_outcomes(rng, random)
-        elif kind == "gates":
-            cols, sym, _ = arg  # the sign bits are unused unsigned
-            _apply_tables_inplace(state, maps[sym], cols, cols + 1)
+            _draw_outcomes(rng, _apply_layer(state, columns, gates, arg))
+            columns, gates = [], None
+            continue
+        if gates is not None or kind == "record" and columns:
+            _apply_layer(state, columns, gates, ())
+            columns, gates = [], None
+        if kind == "gates":
+            gates = arg
         elif kind == "dephase":
-            _dephase_inplace(state, arg)
+            columns.append(arg)
         else:
             rec = record_observables(state, bp, t)
             times.append(rec.time)
             rows.append(rec.values())
+    if columns or gates is not None:
+        _apply_layer(state, columns, gates, ())
     return TrajectoryResult(
         trajectory_id=trajectory_index,
         times=np.asarray(times, dtype=np.int64),

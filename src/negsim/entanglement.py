@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -168,13 +168,32 @@ class ObservableRecord:
         return (self.S_A, self.S_B, self.S_AB, self.E, self.I, self.purity_log2)
 
 
+@lru_cache(maxsize=64)
+def _covering_split(L: int, bp: Bipartition) -> Optional[Tuple[_Sites, _Sites]]:
+    """A's and B's sites when A u B is the whole chain, else None."""
+    a, traced = _bipartition_split(L, bp)
+    return None if traced else (a, _split(L, bp.region_a).rest)
+
+
 def record_observables(
     state: StabilizerState, bp: Bipartition, time: int
 ) -> ObservableRecord:
-    s_a = entropy(state, bp.region_a)
-    s_b = entropy(state, bp.region_b)
-    s_ab = entropy(state, bp.joint())
-    e = negativity(state, bp)
+    """The observables of one record. When A and B cover the chain the row
+    kernel returns all three ranks in one call, and S_AB is L - k."""
+    halves = _covering_split(state.num_qubits, bp) if rowkernel.LIB is not None else None
+    if halves is not None:
+        a, b = halves
+        k = state.num_generators
+        rank_b, rank_a, rank_e = rowkernel.record_ranks(state, a.raw, b.raw)
+        s_a = len(a.sites) - (k - rank_b)
+        s_b = len(b.sites) - (k - rank_a)
+        s_ab = state.num_qubits - k
+        e = rank_e / 2.0
+    else:
+        s_a = entropy(state, bp.region_a)
+        s_b = entropy(state, bp.region_b)
+        s_ab = entropy(state, bp.joint())
+        e = negativity(state, bp)
     mi = s_a + s_b - s_ab
     if 2 * e > mi + 1e-9:
         # 2E <= I holds for stabilizer states; a violation signals an engine

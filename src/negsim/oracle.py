@@ -12,7 +12,7 @@ the PauliString mask convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,12 +153,6 @@ class DenseState:
 
     def copy(self) -> "DenseState":
         return DenseState(self.num_qubits, self.rho.copy())
-
-    def _axes(self, sites: Iterable[int]) -> Tuple[list, list]:
-        L = self.num_qubits
-        row = [L - 1 - s for s in sites]
-        col = [2 * L - 1 - s for s in sites]
-        return row, col
 
     # -- reduced states and entropies ---------------------------------------
 

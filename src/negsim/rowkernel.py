@@ -4,10 +4,16 @@ the polymer DP.
 rowkernel.c makes, on the column-packed tableau of negsim.stabilizer, the
 same row operations as the numpy code it stands in for, so both leave
 bit-identical tableaux. It serves these calls, each behind one dispatch line:
-`channels._measure_z_inplace`, `_apply_tables_inplace` and
-`_dephase_inplace` on unsigned states, and the ranks of
-`entanglement.entropy` and `negativity` and the X block of
-`StabilizerState._x` on any state (neither reads a sign).
+- `channels._apply_layer`, the runner's one call per flush: pending
+  dephasing columns, a brickwork layer's gates (as class indices into
+  `channels._class_tables()`) and the layer's Z measurements, on unsigned
+  states;
+- `channels._apply_tables_inplace` and `_dephase_inplace` on unsigned
+  states;
+- `entanglement.record_observables`' one call per record when A and B cover
+  the chain, and the ranks of `entanglement.entropy` and `negativity`, on
+  any state (no rank reads a sign);
+- the X block of `StabilizerState._x` on any state.
 It also holds the ground-state DP of `polymer._min_energy`, which reads the
 bool bond lattice and returns the same integer energy as the numpy DP.
 
@@ -27,10 +33,11 @@ import hashlib
 import os
 import platform
 import shutil
+import struct
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -92,11 +99,12 @@ if LIB is not None:  # one call per lattice or per k x L block: declared types c
 
 # The tableau functions are called without declared argument types, which
 # halves ctypes' per-call cost: every argument is a Python int (C int), a
-# bytes object (a pointer to its data) or the tableau's c_void_p. The
+# bytes object or ctypes buffer (a pointer to its data) or a c_void_p. The
 # tableau last passed in keeps its c_void_p here, because reading
 # ndarray.ctypes.data costs microseconds and the runner passes the same
-# array every call.
+# array every call; so does the gate class table of apply_layer.
 _last = (None, None)
+_tables = (None, None)
 
 
 def _address(state) -> ctypes.c_void_p:
@@ -112,25 +120,40 @@ def _address(state) -> ctypes.c_void_p:
     return address
 
 
+def _tables_address(tables) -> ctypes.c_void_p:
+    global _tables
+    held, address = _tables
+    if held is not tables:
+        if tables.dtype != np.uint64 or not tables.flags.c_contiguous or tables.shape != (720, 4, 4):
+            raise ValueError("the gate class table must be a C-contiguous (720, 4, 4) uint64 array")
+        address = ctypes.c_void_p(tables.ctypes.data)
+        _tables = (tables, address)
+    return address
+
+
 def _mask(state) -> bytes:
     return state._stab.to_bytes(8 * ((state.num_qubits + 63) >> 6), "little")
 
 
+_INT64 = np.dtype(np.int64)
+
+
+def _int64s(values) -> bytes:
+    """values as int64 bytes: bytes pass through, an array goes through
+    numpy and a sequence of ints through struct (the faster one for lists)."""
+    if type(values) is bytes:
+        return values
+    if type(values) is np.ndarray:
+        return (values if values.dtype is _INT64 else values.astype(np.int64)).tobytes()
+    return struct.pack(f"{len(values)}q", *values) if values else b""
+
+
 def _checked(code: int) -> int:
-    """A kernel return value; -2 means a site out of range, and the kernel
-    changed nothing."""
+    """A kernel return value; -2 means a site, column or gate class out of
+    range, and the kernel changed nothing."""
     if code == -2:
-        raise ValueError("site out of range for the state")
+        raise ValueError("site, column or gate class out of range for the state")
     return code
-
-
-def measure_z(state, site: int) -> bool:
-    """Z_site measured in place; True when the outcome is random (b, c)."""
-    L = state.num_qubits
-    code = _checked(LIB.measure_z(_address(state), L, _mask(state), int(site)))
-    if code >= L:
-        state._stab |= 1 << (code - L)
-    return code >= 0
 
 
 def dephase(state, column: int) -> None:
@@ -151,6 +174,24 @@ def apply_gates(state, maps, cols_i, cols_j) -> None:
     ))
 
 
+def apply_layer(state, tables, columns, gate_sites, classes, sites) -> int:
+    """Dephase the tableau columns, apply gate g with the map tables[classes[g]]
+    on the sites (gate_sites[g], gate_sites[g] + 1), then measure Z on sites,
+    all in place and in that order; returns the number of random outcomes.
+    tables is channels._class_tables()."""
+    L = state.num_qubits
+    cols, gates, kinds, meas = _int64s(columns), _int64s(gate_sites), _int64s(classes), _int64s(sites)
+    if len(kinds) != len(gates):
+        raise ValueError("need one gate class per gate")
+    mask = ctypes.create_string_buffer(_mask(state), 8 * ((L + 63) >> 6))
+    n = _checked(LIB.apply_layer(
+        _address(state), L, mask, _tables_address(tables), cols, len(cols) >> 3,
+        gates, kinds, len(gates) >> 3, meas, len(meas) >> 3,
+    ))
+    state._stab = int.from_bytes(mask.raw, "little")
+    return n
+
+
 def stabilizer_x(state) -> np.ndarray:
     """(k, L) uint8 0/1 X bits of the stabilizer rows, rows in order."""
     L = state.num_qubits
@@ -161,7 +202,7 @@ def stabilizer_x(state) -> np.ndarray:
 
 def _rank(fn, state, sites) -> int:
     """sites: int64 site indices, or their bytes as entanglement caches them."""
-    raw = sites if type(sites) is bytes else np.asarray(sites, dtype=np.int64).tobytes()
+    raw = _int64s(sites)
     rank = _checked(fn(_address(state), state.num_qubits, _mask(state), raw, len(raw) >> 3))
     if rank < 0:
         raise MemoryError("row kernel could not allocate its rank buffers")
@@ -176,6 +217,20 @@ def region_rank(state, sites) -> int:
 def negativity_rank(state, sites) -> int:
     """Rank of the anticommutation form of the stabilizer rows on sites."""
     return _rank(LIB.negativity_rank, state, sites)
+
+
+def record_ranks(state, region, rest) -> Tuple[int, int, int]:
+    """For a bipartition that covers the chain, A's sites region and B's
+    sites rest: (region_rank on rest, region_rank on region,
+    negativity_rank on region) in one call."""
+    a, b = _int64s(region), _int64s(rest)
+    out = (ctypes.c_int * 3)()
+    code = _checked(LIB.record_ranks(
+        _address(state), state.num_qubits, _mask(state), a, len(a) >> 3, b, len(b) >> 3, out
+    ))
+    if code < 0:
+        raise MemoryError("row kernel could not allocate its rank buffers")
+    return out[0], out[1], out[2]
 
 
 def polymer_energy(lat, q) -> int:

@@ -5,7 +5,9 @@ import pytest
 
 from negsim.channels import (
     CliffordGate,
+    _apply_layer,
     _conjugation_flips,
+    _dephase_inplace,
     _gate_from_class,
     _gate_maps,
     _measure_inplace,
@@ -250,6 +252,25 @@ def test_fast_z_path_matches_general_measurement():
         s_blind = state.copy()
         _measure_z_inplace(s_blind, site, make_rng(seed), need_outcome=False)
         assert s_blind == s_fast  # same collapse, same rng stream
+
+
+@pytest.mark.parametrize(
+    "update",
+    [
+        lambda s: _measure_z_inplace(s, -1, None, need_outcome=False),
+        lambda s: _measure_z_inplace(s, 4, None, need_outcome=False),
+        lambda s: _dephase_inplace(s, -1),
+        lambda s: _dephase_inplace(s, 8),
+        lambda s: _apply_layer(s, [-1], None, []),
+        lambda s: _apply_layer(s, [], None, [4]),
+    ],
+)
+def test_runner_updates_reject_sites_out_of_range(both_paths, update):
+    # a negative index or one past L would otherwise pick another column
+    state = product_state(4, signed=False)
+    with pytest.raises(ValueError, match="out of range"):
+        update(state)
+    assert state == product_state(4, signed=False)
 
 
 @pytest.mark.parametrize("site", range(5))

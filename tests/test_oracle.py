@@ -236,28 +236,44 @@ def _off_by_one_record(original):
     return record
 
 
-def _no_op(original):
-    return lambda *args, **kwargs: None
+def _skip_measurements(original):
+    return lambda state, columns, gates, sites: original(state, columns, gates, ())
 
 
-@pytest.mark.parametrize(
+def _skip_dephasing(original):
+    return lambda state, columns, gates, sites: original(state, (), gates, sites)
+
+
+CORRUPTIONS = pytest.mark.parametrize(
     "name, corrupt, first_failure",
     [
         ("record_observables", _off_by_one_record, "t=1 (record t=1): runner vs dense {'I': ("),
-        ("_measure_z_inplace", _no_op, "t=2 (record t=2): runner vs dense {'"),
-        ("_dephase_inplace", _no_op, "t=2 (record t=2): runner vs dense {'"),
+        ("_apply_layer", _skip_measurements, "t=2 (record t=2): runner vs dense {'"),
+        ("_apply_layer", _skip_dephasing, "t=2 (record t=2): runner vs dense {'"),
     ],
     ids=["wrong_record", "no_op_measure", "no_op_dephase"],
 )
+
+
+@CORRUPTIONS
 def test_replay_trajectory_detects_a_wrong_record(monkeypatch, name, corrupt, first_failure):
-    # the runner calls its channels and recorder through negsim.circuit's
-    # globals, so a corrupted call there must show up against the dense replay
+    # the runner makes every update through one _apply_layer call per flush
+    # and every record through record_observables, both looked up in
+    # negsim.circuit's globals, so a corrupted call there must show up
+    # against the dense replay
     import negsim.circuit as circuit
 
     monkeypatch.setattr(circuit, name, corrupt(getattr(circuit, name)))
     report = replay_trajectory(CircuitConfig(L=4, p=0.2, T=8, seed=1))
     assert not report.ok
     assert report.failures[0].startswith(first_failure), report.failures[0]
+
+
+@CORRUPTIONS
+def test_replay_trajectory_detects_a_wrong_record_on_numpy_path(
+    monkeypatch, numpy_path, name, corrupt, first_failure
+):
+    test_replay_trajectory_detects_a_wrong_record(monkeypatch, name, corrupt, first_failure)
 
 
 def test_replay_trajectory_rejects_large_chains():

@@ -1,7 +1,7 @@
 """The compiled row kernel against the numpy code it stands in for.
 
 Each update must leave the same tableau bits and stabilizer mask as the
-numpy path after every operation, and draw the same random numbers; each
+numpy path after every operation, and count the same random outcomes; each
 rank must equal the int-row elimination's; each polymer energy must equal
 the numpy DP's, or fail with the same ValueError. The numpy side runs with
 rowkernel.LIB set to None.
@@ -19,13 +19,14 @@ import pytest
 
 from negsim import polymer, rowkernel
 from negsim.channels import (
+    _apply_layer,
     _apply_tables_inplace,
     _class_tables,
     _dephase_inplace,
     _measure_z_inplace,
     make_rng,
 )
-from negsim.entanglement import Bipartition, entropy, negativity
+from negsim.entanglement import Bipartition, entropy, negativity, record_observables
 from negsim.gf2 import bits_to_int_rows, rank_int_rows
 from negsim.polymer import PathQuery, PolymerLattice
 from negsim.stabilizer import StabilizerState, product_state, validate
@@ -36,8 +37,9 @@ needs_kernel = pytest.mark.skipif(rowkernel.LIB is None, reason="no compiled row
 
 def random_op(rng, L):
     """One operation as a function of the state: a gate layer on random
-    disjoint site pairs, a Z measurement (returning its outcome and the next
-    draw of its stream) or a dephasing of column c or L + c."""
+    disjoint site pairs, a Z measurement through the runner's layer call
+    (returning 1 when its outcome is random) or a dephasing of column c or
+    L + c."""
     kind = int(rng.integers(3))
     if kind == 0:
         sites = rng.permutation(L)
@@ -45,14 +47,8 @@ def random_op(rng, L):
         maps = _class_tables()[rng.integers(720, size=m)]
         return lambda state: _apply_tables_inplace(state, maps, sites[:m], sites[m : 2 * m])
     if kind == 1:
-        site, seed = int(rng.integers(L)), int(rng.integers(1 << 30))
-
-        def measure(state):
-            stream = make_rng(seed)
-            outcome = _measure_z_inplace(state, site, stream, need_outcome=False)
-            return outcome, int(stream.integers(1 << 30))
-
-        return measure
+        site = int(rng.integers(L))
+        return lambda state: _apply_layer(state, (), None, [site])
     column = int(rng.integers(2 * L))
     return lambda state: _dephase_inplace(state, column)
 
@@ -119,6 +115,52 @@ def test_ranks_match_int_row_elimination(monkeypatch, L, signed):
             got = negativity(state, bp)
             assert got == without_kernel(monkeypatch, negativity, state, bp)
             assert state == before  # the traced-out copy leaves the input alone
+            cover = Bipartition(order[:size_a].tolist(), order[size_a:].tolist())
+            rec = record_observables(state, cover, trial)  # one record_ranks call
+            assert rec == without_kernel(monkeypatch, record_observables, state, cover, trial)
+
+
+def layer_calls(L, p, schedule, T, rng):
+    """The arguments of the runner's _apply_layer calls for T layers of a
+    brickwork chain of any length L: the previous layer's dephasing columns,
+    this layer's gates and its measured sites (none on every 7th layer, and
+    at L = 2 no gates on even layers)."""
+    columns = []
+    for t in range(1, T + 1):
+        cols = np.arange(1 - t % 2, L - 1, 2)
+        gates = (cols, rng.integers(720, size=cols.size), None) if cols.size else None
+        sites = np.flatnonzero(rng.random(L) < p).tolist() if t % 7 else []
+        yield columns, gates, sites
+        if schedule == "boundary":
+            columns = [0, L - 1]
+        else:  # random_sites(3), now and then in X as negativity traces out
+            picked = sorted(rng.choice(L, size=min(3, L), replace=False).tolist())
+            columns = [c + L * int(rng.random() < 0.2) for c in picked]
+
+
+def per_op_numpy(state, columns, gates, sites):
+    """The numpy calls one layer call stands in for, one by one."""
+    for column in columns:
+        _dephase_inplace(state, column)
+    if gates is not None:
+        cols, sym, _ = gates
+        _apply_tables_inplace(state, _class_tables()[sym], cols, cols + 1)
+    return sum(bool(_measure_z_inplace(state, site, None, need_outcome=False)) for site in sites)
+
+
+@needs_kernel
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("schedule", ["boundary", "random_sites"])
+@pytest.mark.parametrize("L", [2, 32, 33, 64, 65, 160])
+def test_layer_call_matches_per_op_numpy_sequence(monkeypatch, L, schedule, p):
+    rng = make_rng(7 * L + int(10 * p))
+    fast = product_state(L, signed=False)
+    slow = fast.copy()
+    for t, call in enumerate(layer_calls(L, p, schedule, 60, rng)):
+        assert _apply_layer(fast, *call) == without_kernel(monkeypatch, per_op_numpy, slow, *call), t
+        assert fast._stab == slow._stab, t
+        assert np.array_equal(fast._cols, slow._cols), t
+    assert validate(fast) is None
 
 
 @pytest.mark.parametrize("L", [2, 31, 32, 33, 64, 65, 160])
@@ -138,15 +180,24 @@ def test_x_block_matches_stabilizer_bits(both_paths, L):
 def test_kernel_rejects_sites_out_of_range_and_changes_nothing():
     state = random_state(5, 15, seed=2)
     before = state.copy()
-    maps = _class_tables()[[0]]
+    tables = _class_tables()
+    maps = tables[[0]]
     calls = [
-        lambda: rowkernel.measure_z(state, 5),
-        lambda: rowkernel.measure_z(state, -1),
         lambda: rowkernel.dephase(state, 10),
         lambda: rowkernel.apply_gates(state, maps, [4], [5]),
         lambda: rowkernel.apply_gates(state, maps[[0, 0]], [0, 2], [1, -3]),
         lambda: rowkernel.region_rank(state, [0, 5]),
         lambda: rowkernel.negativity_rank(state, [-1]),
+        lambda: rowkernel.record_ranks(state, [0, 1], [2, 5]),
+        # each layer call has valid ops before the bad one, which must not run
+        lambda: rowkernel.apply_layer(state, tables, [0, 9], [0, 2], [3, 7], [1, 5]),
+        lambda: rowkernel.apply_layer(state, tables, [0, 9], [0, 2], [3, 7], [1, -1]),
+        lambda: rowkernel.apply_layer(state, tables, [0, 10], [0, 2], [3, 7], [1]),
+        lambda: rowkernel.apply_layer(state, tables, [0, -1], [0, 2], [3, 7], [1]),
+        lambda: rowkernel.apply_layer(state, tables, [0, 9], [0, 2], [3, 720], [1]),
+        lambda: rowkernel.apply_layer(state, tables, [0, 9], [0, 2], [3, -1], [1]),
+        lambda: rowkernel.apply_layer(state, tables, [0, 9], [0, 4], [3, 7], [1]),
+        lambda: rowkernel.apply_layer(state, tables, [0, 9], [0, 2], [3], [1]),
     ]
     for call in calls:
         with pytest.raises(ValueError):
