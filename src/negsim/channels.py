@@ -308,8 +308,6 @@ def _apply_tables_inplace(state, maps, cols_i, cols_j, flips=None):
     tables, are required for a signed state and ignored otherwise. The pairs
     must be disjoint, as in a brickwork layer.
     """
-    if rowkernel.LIB is not None and state._neg is None:
-        return rowkernel.apply_gates(state, maps, cols_i, cols_j)
     L = state.num_qubits
     cols_i = np.asarray(cols_i, dtype=np.int64)
     cols_j = np.asarray(cols_j, dtype=np.int64)
@@ -324,18 +322,28 @@ def _apply_tables_inplace(state, maps, cols_i, cols_j, flips=None):
 
 
 def _apply_layer(state, columns, gates, sites) -> int:
-    """The runner's one update call between two results it needs: dephase
-    each tableau column of columns (`_dephase_inplace`), apply gates, a
-    ("gates", (cols, sym, signs)) payload of circuit._layer_ops or None, on
-    the pairs (cols, cols + 1), then measure Z on sites in order
-    (`_measure_z_inplace` with no generator). Returns the number of random
-    outcomes, whose bits the caller draws. The state must be unsigned: the
-    gates' sign bits are not applied and no outcome is drawn.
+    """The one tableau update call: dephase each tableau column of columns
+    (`_dephase_inplace`), apply gates, a ("gates", (cols, sym, signs))
+    payload of circuit._layer_ops or None, on the pairs (cols, cols + 1),
+    then measure Z on sites in order (`_measure_z_inplace` with no
+    generator). Returns the number of random outcomes, whose bits the caller
+    draws. The state must be unsigned: the gates' sign bits are not applied
+    and no outcome is drawn. The runner makes one call between two results
+    it needs, and `entanglement.negativity` one to trace sites out.
+
+    A column, gate site, gate class or measured site out of range raises
+    ValueError before anything changes, on either path.
     """
     tables = _class_tables()
     cols, sym = (gates[0], gates[1]) if gates is not None else ((), ())
     if rowkernel.LIB is not None and state._neg is None:
         return rowkernel.apply_layer(state, tables, columns, cols, sym, sites)
+    L = state.num_qubits
+    if len(sym) != len(cols):
+        raise ValueError("need one gate class per gate")
+    for values, limit in ((columns, 2 * L), (cols, L - 1), (sym, len(tables)), (sites, L)):
+        if not all(0 <= v < limit for v in values):
+            raise ValueError("site, column or gate class out of range for the state")
     for column in columns:
         _dephase_inplace(state, column)
     if gates is not None:
@@ -475,8 +483,6 @@ def _dephase_inplace(state: StabilizerState, site: int):
     that Pauli, fold their destabilizers into D_p, then clear pair p's
     stabilizer bit.
     """
-    if rowkernel.LIB is not None and state._neg is None:
-        return rowkernel.dephase(state, site)
     if not 0 <= site < 2 * state.num_qubits:
         raise ValueError(f"column {site} out of range for L={state.num_qubits}")
     hit = _column_int(state, site) & state._stab

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import rowkernel
-from .channels import _dephase_inplace
+from .channels import _apply_layer
 from .gf2 import bits_to_int_rows, parity_matmul, rank_int_rows
 from .stabilizer import StabilizerState, _row_interval, canonicalize
 
@@ -120,17 +120,15 @@ def negativity(state: StabilizerState, bp: Bipartition) -> float:
 
     rho_AB's group is the subgroup supported on A u B (Sang et al.,
     arXiv:2012.00031): what is left after dephasing every other site in both
-    Z and X. When A u B is the whole chain that is every generator. The
-    split of bp is cached per (L, bp).
+    Z and X, in one `_apply_layer` call on a copy. When A u B is the whole
+    chain that is every generator. The split of bp is cached per (L, bp).
     """
     L = state.num_qubits
     a, traced = _bipartition_split(L, bp)
     if traced:
         state = state.copy()
-        state._neg = None  # dephasing the copy reads and writes no sign
-        for site in traced:
-            _dephase_inplace(state, site)
-            _dephase_inplace(state, L + site)
+        state._neg = None  # _apply_layer takes unsigned states; dephasing reads no sign
+        _apply_layer(state, [c for site in traced for c in (site, L + site)], None, ())
     if rowkernel.LIB is not None:
         return rowkernel.negativity_rank(state, a.raw) / 2.0
     bits = state._stabilizer_bits(a.columns)

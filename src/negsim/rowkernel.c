@@ -6,12 +6,13 @@
  * form pair j. The stabilizer mask (bit j set when pair j holds a
  * stabilizer) arrives as the little-endian bytes of a Python int, S words.
  *
- * Every update makes the row operations of the numpy code it stands in for
- * (stabilizer._collapse_rows, channels._dephase_inplace and
- * channels._apply_tables_inplace), in the same order, so both leave the same
- * bits. apply_layer makes a runner flush's dephasing, gates and Z
- * measurements in one call, and record_ranks a record's three ranks.
- * Nothing here reads or writes a sign. A site, column or gate class out of
+ * apply_layer is the one tableau update: a runner flush's dephasing, gates
+ * and Z measurements, or negativity's trace-out, in one call. It makes the
+ * row operations of the numpy code it stands in for
+ * (channels._dephase_inplace, channels._apply_tables_inplace and
+ * stabilizer._collapse_rows), in the same order, so both leave the same
+ * bits. region_rank, negativity_rank and record_ranks (a record's three
+ * ranks in one call) read the tableau. Nothing here reads or writes a sign. A site, column or gate class out of
  * range makes a call return -2 before it changes anything; the Python side
  * checks the tableau's shape and dtype and the length of every byte
  * argument.
@@ -143,8 +144,8 @@ static int measure(u64 *t, int L, u64 *stab, int site)
 
 /* Dephase at column col: channels._dephase_inplace. S_p, the lowest
  * stabilizer hit, goes into the other hit stabilizers, their destabilizers
- * into D_p, and the bit of p is cleared in stab. Returns p or -1. */
-WIDE static int dephase_column(u64 *t, int L, u64 *stab, int col)
+ * into D_p, and the bit of p is cleared in stab. */
+WIDE static void dephase_column(u64 *t, int L, u64 *stab, int col)
 {
     int n = 2 * L, W = (n + 63) / 64, S = (L + 63) / 64;
     u64 others[W], partners[W];
@@ -154,11 +155,11 @@ WIDE static int dephase_column(u64 *t, int L, u64 *stab, int col)
         others[w] = t[(size_t)w * n + col] & stab[w];
     int p = lowest(others, S);
     if (p < 0)
-        return -1;
+        return;
     stab[p >> 6] &= ~BIT(p);
     others[p >> 6] &= ~BIT(p);
     if (lowest(others, S) < 0)
-        return p;
+        return;
     xor_row(t, n, W, p, others);
     for (int w = 0; w < S; w++)
         for (u64 m = others[w]; m; m &= m - 1) {
@@ -172,19 +173,6 @@ WIDE static int dephase_column(u64 *t, int L, u64 *stab, int col)
             parity ^= __builtin_popcountll(t[(size_t)w * n + c] & partners[w]) & 1;
         target[c] ^= (u64)parity << ((L + p) & 63);
     }
-    return p;
-}
-
-/* dephase_column on the mask bytes, which stay as they are: the caller
- * clears the mask bit of the returned p */
-int dephase(u64 *t, int L, const unsigned char *mask, int col)
-{
-    int S = (L + 63) / 64;
-    if (col < 0 || col >= 2 * L)
-        return -2;
-    u64 stab[S];
-    load_mask(mask, S, stab);
-    return dephase_column(t, L, stab, col);
 }
 
 static int64_t site_at(const unsigned char *sites, int i)
@@ -219,22 +207,6 @@ WIDE static void gate(u64 *t, int L, const u64 *map, int64_t i, int64_t j)
         for (int b = 0; b < 4; b++)
             row[idx[b]] = out[b];
     }
-}
-
-/* One gate per site pair (ci[g], cj[g]): channels._apply_tables_inplace.
- * maps holds m maps as gate reads them; ci and cj are int64. The pairs
- * must be disjoint. */
-int apply_gates(u64 *t, int L, const unsigned char *maps, const unsigned char *ci,
-                const unsigned char *cj, int m)
-{
-    if (!sites_ok(ci, m, L) || !sites_ok(cj, m, L))
-        return -2;
-    for (int g = 0; g < m; g++) {
-        u64 map[16];
-        memcpy(map, maps + sizeof map * (size_t)g, sizeof map);
-        gate(t, L, map, site_at(ci, g), site_at(cj, g));
-    }
-    return 0;
 }
 
 /* One flush of the runner, in its order: dephase the ncols int64 tableau
@@ -401,21 +373,6 @@ int record_ranks(const u64 *t, int L, const unsigned char *mask, const unsigned 
     out[1] = rank_on(t, L, stab, region, nregion);
     out[2] = negativity_on(t, L, stab, region, nregion);
     return out[0] < 0 || out[1] < 0 || out[2] < 0 ? -1 : 0;
-}
-
-/* out[i][c] = the X bit at site c of the i-th stabilizer row, rows in
- * increasing order: the (k, L) 0/1 block of StabilizerState._x, with k the
- * popcount of stab. Returns k. */
-int stabilizer_x(const u64 *t, int L, const unsigned char *stab, unsigned char *out)
-{
-    int n = 2 * L, S = (L + 63) / 64, i = 0;
-    for (int w = 0; w < S; w++) { /* stabilizer rows sit below L, in word w */
-        const u64 *row = t + (size_t)w * n;
-        for (u64 m = load(stab, w); m; m &= m - 1, i++)
-            for (int c = 0, s = __builtin_ctzll(m); c < L; c++)
-                out[(size_t)i * L + c] = (row[c] >> s) & 1;
-    }
-    return i;
 }
 
 /* polymer._min_energy on the C-contiguous (w, h + 1, 2) bool lattice m:

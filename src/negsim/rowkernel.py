@@ -4,16 +4,14 @@ the polymer DP.
 rowkernel.c makes, on the column-packed tableau of negsim.stabilizer, the
 same row operations as the numpy code it stands in for, so both leave
 bit-identical tableaux. It serves these calls, each behind one dispatch line:
-- `channels._apply_layer`, the runner's one call per flush: pending
+- `channels._apply_layer`, the one tableau update, on unsigned states: pending
   dephasing columns, a brickwork layer's gates (as class indices into
-  `channels._class_tables()`) and the layer's Z measurements, on unsigned
-  states;
-- `channels._apply_tables_inplace` and `_dephase_inplace` on unsigned
-  states;
+  `channels._class_tables()`) and the layer's Z measurements for the
+  runner's flushes, and the dephasing columns of `entanglement.negativity`'s
+  trace-out;
 - `entanglement.record_observables`' one call per record when A and B cover
   the chain, and the ranks of `entanglement.entropy` and `negativity`, on
-  any state (no rank reads a sign);
-- the X block of `StabilizerState._x` on any state.
+  any state (no rank reads a sign).
 It also holds the ground-state DP of `polymer._min_energy`, which reads the
 bool bond lattice and returns the same integer energy as the numpy DP.
 
@@ -93,9 +91,8 @@ def load() -> Optional[ctypes.CDLL]:
 
 
 LIB = load()
-if LIB is not None:  # one call per lattice or per k x L block: declared types cost little there
+if LIB is not None:  # one call per lattice: declared types cost little there
     LIB.polymer_energy.argtypes = (ctypes.c_void_p,) + (ctypes.c_int,) * 4
-    LIB.stabilizer_x.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_void_p)
 
 # The tableau functions are called without declared argument types, which
 # halves ctypes' per-call cost: every argument is a Python int (C int), a
@@ -156,24 +153,6 @@ def _checked(code: int) -> int:
     return code
 
 
-def dephase(state, column: int) -> None:
-    p = _checked(LIB.dephase(_address(state), state.num_qubits, _mask(state), int(column)))
-    if p >= 0:
-        state._stab &= ~(1 << p)
-
-
-def apply_gates(state, maps, cols_i, cols_j) -> None:
-    cols_i = np.asarray(cols_i, dtype=np.int64)
-    cols_j = np.asarray(cols_j, dtype=np.int64)
-    maps = np.asarray(maps, dtype=np.uint64)
-    if maps.shape != (cols_i.size, 4, 4) or cols_j.shape != cols_i.shape:
-        raise ValueError("need one (4, 4) map and one site pair per gate")
-    _checked(LIB.apply_gates(
-        _address(state), state.num_qubits, maps.tobytes(),
-        cols_i.tobytes(), cols_j.tobytes(), cols_i.size,
-    ))
-
-
 def apply_layer(state, tables, columns, gate_sites, classes, sites) -> int:
     """Dephase the tableau columns, apply gate g with the map tables[classes[g]]
     on the sites (gate_sites[g], gate_sites[g] + 1), then measure Z on sites,
@@ -190,14 +169,6 @@ def apply_layer(state, tables, columns, gate_sites, classes, sites) -> int:
     ))
     state._stab = int.from_bytes(mask.raw, "little")
     return n
-
-
-def stabilizer_x(state) -> np.ndarray:
-    """(k, L) uint8 0/1 X bits of the stabilizer rows, rows in order."""
-    L = state.num_qubits
-    out = np.empty((state.num_generators, L), dtype=np.uint8)
-    LIB.stabilizer_x(_address(state), L, _mask(state), out.ctypes.data)
-    return out
 
 
 def _rank(fn, state, sites) -> int:

@@ -31,7 +31,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import rowkernel
 from .gf2 import bits_to_int_rows, parity_matmul
 from .pauli import PauliString, phase_product
 
@@ -241,10 +240,7 @@ class StabilizerState:
     @property
     def _x(self) -> np.ndarray:
         """Read-only (k, L) 0/1 X bits of the stabilizer rows."""
-        if rowkernel.LIB is not None:
-            view = rowkernel.stabilizer_x(self)
-        else:
-            view = self._stabilizer_bits(np.arange(self.num_qubits))
+        view = self._stabilizer_bits(np.arange(self.num_qubits))
         view.flags.writeable = False
         return view
 

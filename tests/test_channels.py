@@ -263,28 +263,49 @@ def test_fast_z_path_matches_general_measurement():
         lambda s: _dephase_inplace(s, 8),
         lambda s: _apply_layer(s, [-1], None, []),
         lambda s: _apply_layer(s, [], None, [4]),
+        lambda s: _apply_layer(s, [], (np.array([-1]), np.array([7]), None), []),
+        lambda s: _apply_layer(s, [], (np.array([3]), np.array([7]), None), []),
+        lambda s: _apply_layer(s, [], (np.array([0]), np.array([-1]), None), []),
+        lambda s: _apply_layer(s, [], (np.array([0]), np.array([720]), None), []),
+        lambda s: _apply_layer(s, [5, 8], None, []),
+        lambda s: _apply_layer(s, [5], (np.array([0, 2]), np.array([7, 9]), None), [0, 4]),
     ],
 )
 def test_runner_updates_reject_sites_out_of_range(both_paths, update):
-    # a negative index or one past L would otherwise pick another column
+    # a negative index or one past L would otherwise pick another column,
+    # gate pair or gate class; the valid ops before a bad one must not run
+    # (dephasing column 5, X_1, changes both states)
+    mixed = product_state(4, signed=False)
+    _dephase_inplace(mixed, 4)  # dephase X_0: k = 3
+    for state in (product_state(4, signed=False), mixed):
+        before = state.copy()
+        with pytest.raises(ValueError, match="out of range"):
+            update(state)
+        assert state._stab == before._stab and np.array_equal(state._cols, before._cols)
+
+
+def test_layer_call_needs_one_class_per_gate(both_paths):
     state = product_state(4, signed=False)
-    with pytest.raises(ValueError, match="out of range"):
-        update(state)
+    with pytest.raises(ValueError, match="one gate class per gate"):
+        _apply_layer(state, [], (np.array([0, 2]), np.array([7]), None), [])
     assert state == product_state(4, signed=False)
 
 
 @pytest.mark.parametrize("site", range(5))
 def test_z_measurement_without_rng_reports_a_random_outcome(both_paths, site):
-    # the runner measures a layer with rng None and draws the random outcomes' bits after it
+    # the runner measures a layer with rng None and draws the random outcomes' bits after it;
+    # its layer call (the row kernel's measure when built) must count and collapse alike
     for seed in range(12):
         signed = random_mixed_state(5, seed=seed + 300)
         unsigned = signed.copy()
         unsigned._neg = None
-        drawn, stream = unsigned.copy(), make_rng(seed)
+        drawn, stream, layer = unsigned.copy(), make_rng(seed), unsigned.copy()
         random = _measure_z_inplace(unsigned, site, None, need_outcome=False)
         outcome = _measure_z_inplace(drawn, site, stream, need_outcome=False)
         assert random is (outcome is not None)
         assert unsigned._stab == drawn._stab and np.array_equal(unsigned._cols, drawn._cols)
+        assert _apply_layer(layer, (), None, [site]) == random
+        assert layer._stab == unsigned._stab and np.array_equal(layer._cols, unsigned._cols)
         before = signed.copy()
         with pytest.raises(ValueError, match="needs rng"):
             _measure_z_inplace(signed, site, None, need_outcome=False)

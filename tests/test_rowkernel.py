@@ -9,6 +9,7 @@ rowkernel.LIB set to None.
 
 import copy
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -36,21 +37,21 @@ needs_kernel = pytest.mark.skipif(rowkernel.LIB is None, reason="no compiled row
 
 
 def random_op(rng, L):
-    """One operation as a function of the state: a gate layer on random
-    disjoint site pairs, a Z measurement through the runner's layer call
-    (returning 1 when its outcome is random) or a dephasing of column c or
-    L + c."""
+    """One operation as a function of the state, each a layer call: gates of
+    random classes on a random subset of one brickwork parity's pairs
+    (c, c + 1), a Z measurement (returning 1 when its outcome is random) or
+    a dephasing of column c or L + c."""
     kind = int(rng.integers(3))
     if kind == 0:
-        sites = rng.permutation(L)
-        m = int(rng.integers(1, L // 2 + 1))
-        maps = _class_tables()[rng.integers(720, size=m)]
-        return lambda state: _apply_tables_inplace(state, maps, sites[:m], sites[m : 2 * m])
+        pairs = np.arange(int(rng.integers(2)), L - 1, 2)
+        cols = pairs[rng.random(pairs.size) < 0.5]
+        gates = (cols, rng.integers(720, size=cols.size), None)
+        return lambda state: _apply_layer(state, (), gates, ())
     if kind == 1:
         site = int(rng.integers(L))
         return lambda state: _apply_layer(state, (), None, [site])
     column = int(rng.integers(2 * L))
-    return lambda state: _dephase_inplace(state, column)
+    return lambda state: _apply_layer(state, [column], None, ())
 
 
 def without_kernel(monkeypatch, fn, *args):
@@ -181,11 +182,7 @@ def test_kernel_rejects_sites_out_of_range_and_changes_nothing():
     state = random_state(5, 15, seed=2)
     before = state.copy()
     tables = _class_tables()
-    maps = tables[[0]]
     calls = [
-        lambda: rowkernel.dephase(state, 10),
-        lambda: rowkernel.apply_gates(state, maps, [4], [5]),
-        lambda: rowkernel.apply_gates(state, maps[[0, 0]], [0, 2], [1, -3]),
         lambda: rowkernel.region_rank(state, [0, 5]),
         lambda: rowkernel.negativity_rank(state, [-1]),
         lambda: rowkernel.record_ranks(state, [0, 1], [2, 5]),
@@ -203,8 +200,6 @@ def test_kernel_rejects_sites_out_of_range_and_changes_nothing():
         with pytest.raises(ValueError):
             call()
         assert state._stab == before._stab and np.array_equal(state._cols, before._cols)
-    with pytest.raises(ValueError):
-        rowkernel.apply_gates(state, maps, [0, 2], [1, 3])  # one map for two gates
 
 
 def polymer_dp(lat, q):
@@ -268,6 +263,21 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
+def exported_functions(c_source: str):
+    """Names of the functions a C source defines without `static`, one
+    definition per line start."""
+    return set(re.findall(r"^(?![^(\n]*\bstatic\b)[A-Za-z_][\w \t*]*?\b(\w+)\(", c_source, re.M))
+
+
+def test_kernel_exports_exactly_what_the_wrapper_calls():
+    # -Wall catches a static helper nothing calls; this catches an exported one
+    exported = exported_functions(rowkernel.SOURCE.read_text())
+    called = set(re.findall(r"\bLIB\.(\w+)", Path(rowkernel.__file__).read_text()))
+    assert called and exported == called
+    sample = "static int a(int x)\nWIDE static void b(void)\n#define C(r) r\nint d;\nint *e(u64 *t,\n"
+    assert exported_functions(sample) == {"e"}
 
 
 @needs_kernel
