@@ -329,7 +329,7 @@ def _apply_layer(state, columns, gates, sites) -> int:
     generator). Returns the number of random outcomes, whose bits the caller
     draws. The state must be unsigned: the gates' sign bits are not applied
     and no outcome is drawn. The runner makes one call between two results
-    it needs, and `entanglement.negativity` one to trace sites out.
+    it needs, and `entanglement._traced` one to trace sites out.
 
     A column, gate site, gate class or measured site out of range raises
     ValueError before anything changes, on either path.

@@ -1,10 +1,13 @@
 """Entanglement observables on mixed stabilizer states.
 
-All quantities reduce to GF(2) ranks of the generator matrix: entropy from
-the rank restricted to a region's complement (the stabilizer rows of the
-complement's tableau columns), logarithmic negativity from
-half the rank of the binary anticommutation form of the generators of
-rho_AB restricted to A. S_AB of the whole chain is L - k and needs no rank.
+Every quantity is a GF(2) rank of the stabilizer rows, and one function,
+`_ranks`, computes them for two disjoint site sets A and B whose union
+covers the chain: the rank on B's tableau columns, the rank on A's, and the
+rank of the binary anticommutation form of the rows restricted to A. A
+bipartition that leaves sites out is first reduced to rho_AB by dephasing
+the other sites in Z and X (`_traced`). Then, with k' the traced state's
+generator count, S_A = |A| - (k' - rank_B), S_B = |B| - (k' - rank_A),
+S_AB = |A u B| - k' and E = rank_J / 2.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -34,6 +37,22 @@ __all__ = [
 ]
 
 
+def _sorted_sites(region: Iterable[int]) -> List[int]:
+    """The distinct sites of region as sorted ints. A site whose value is
+    not an integer (0.5, '0', None) raises ValueError rather than being cut
+    to one that is."""
+    sites = set()
+    for site in region:
+        try:
+            index = int(site)
+        except (TypeError, ValueError, OverflowError):
+            index = None
+        if index is None or index != site:
+            raise ValueError(f"site {site!r} is not an integer")
+        sites.add(index)
+    return sorted(sites)
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """Two disjoint site sets; the standard split is contiguous halves."""
@@ -42,8 +61,8 @@ class Bipartition:
     region_b: Tuple[int, ...]
 
     def __init__(self, region_a: Iterable[int], region_b: Iterable[int]):
-        a = tuple(sorted(set(region_a)))
-        b = tuple(sorted(set(region_b)))
+        a = tuple(_sorted_sites(region_a))
+        b = tuple(_sorted_sites(region_b))
         if not a or not b:
             raise ValueError("both regions must be non-empty")
         if set(a) & set(b):
@@ -80,61 +99,71 @@ def _sites(L: int, sites: np.ndarray) -> _Sites:
 
 @lru_cache(maxsize=256)
 def _split(L: int, region: Tuple[int, ...]) -> _Split:
-    """The region's sites and their complement. A site out of range raises
-    ValueError, and lru_cache keeps no exception, so it raises every call."""
-    cols = np.asarray(sorted(set(region)), dtype=np.int64)
-    if cols.size and (cols[0] < 0 or cols[-1] >= L):
+    """The region's sites and their complement. A site that is out of range
+    or not an integer raises ValueError, and lru_cache keeps no exception,
+    so it raises every call."""
+    sites = _sorted_sites(region)
+    if sites and (sites[0] < 0 or sites[-1] >= L):
         raise ValueError("region site out of range")
+    cols = np.asarray(sites, dtype=np.int64)
     keep = np.ones(L, dtype=bool)
     keep[cols] = False
     return _Split(_sites(L, cols), _sites(L, np.flatnonzero(keep)))
 
 
 @lru_cache(maxsize=64)
-def _bipartition_split(L: int, bp: Bipartition) -> Tuple[_Sites, Tuple[int, ...]]:
-    """A's sites and the sites outside A u B, which negativity traces out."""
-    return _split(L, bp.region_a).region, _split(L, bp.joint()).rest.sites
+def _bipartition_split(L: int, bp: Bipartition) -> Tuple[_Sites, _Sites, Tuple[int, ...]]:
+    """A's and B's sites, and the Z and X tableau columns of the sites
+    outside A u B, which a trace-out dephases."""
+    traced = _split(L, bp.joint()).rest.sites
+    columns = tuple(c for site in traced for c in (site, L + site))
+    return _split(L, bp.region_a).region, _split(L, bp.region_b).region, columns
+
+
+def _traced(state: StabilizerState, bp: Bipartition) -> Tuple[StabilizerState, _Sites, _Sites]:
+    """rho_AB on the whole chain, and A's and B's sites. rho_AB's group is
+    the subgroup supported on A u B (Sang et al., arXiv:2012.00031): what is
+    left after dephasing every other site in both Z and X, in one
+    `_apply_layer` call on a copy. When A u B is the whole chain that is
+    every generator, and the state itself is returned."""
+    a, b, columns = _bipartition_split(state.num_qubits, bp)
+    if columns:
+        state = state.copy()
+        state._neg = None  # _apply_layer takes unsigned states; dephasing reads no sign
+        _apply_layer(state, columns, None, ())
+    return state, a, b
+
+
+def _ranks(state: StabilizerState, a: _Sites, b: _Sites) -> Tuple[int, int, int]:
+    """Over the stabilizer rows, for disjoint A and B that cover the chain
+    or whose outside is traced out: (rank on B's columns, rank on A's
+    columns, rank of J = X_A Z_A^T + Z_A X_A^T). The row kernel makes the
+    three in one call; the numpy code is the reference."""
+    if rowkernel.LIB is not None:
+        return rowkernel.record_ranks(state, a.raw, b.raw)
+    bits = state._stabilizer_bits(a.columns)
+    xa, za = np.hsplit(bits, 2)
+    j = parity_matmul(xa, za.T) ^ parity_matmul(za, xa.T)
+    rank_b = rank_int_rows(bits_to_int_rows(state._stabilizer_bits(b.columns)))
+    return rank_b, rank_int_rows(bits_to_int_rows(bits)), rank_int_rows(bits_to_int_rows(j))
 
 
 def entropy(state: StabilizerState, region: Iterable[int]) -> int:
     """S_R = |R| - |G_R| with G_R the subgroup supported inside R.
 
-    |G_R| = k - rank(generators restricted to the complement of R), so only
-    one elimination is needed. The split of R is cached per (L, R).
+    |G_R| = k - rank(generators restricted to the complement of R). The
+    split of R is cached per (L, R).
     """
-    L = state.num_qubits
-    split = _split(L, region if type(region) is tuple else tuple(region))
-    if not split.rest.sites:
-        return L - state.num_generators
-    if rowkernel.LIB is not None:
-        rank = rowkernel.region_rank(state, split.rest.raw)
-    else:
-        restricted = state._stabilizer_bits(split.rest.columns)
-        rank = rank_int_rows(bits_to_int_rows(restricted))
-    inside = state.num_generators - rank
-    return len(split.region.sites) - inside
+    split = _split(state.num_qubits, region if type(region) is tuple else tuple(region))
+    rank_rest = _ranks(state, split.region, split.rest)[0]
+    return len(split.region.sites) - (state.num_generators - rank_rest)
 
 
 def negativity(state: StabilizerState, bp: Bipartition) -> float:
-    """E = rank(J)/2, J the anticommutation form of rho_AB's generators on A.
-
-    rho_AB's group is the subgroup supported on A u B (Sang et al.,
-    arXiv:2012.00031): what is left after dephasing every other site in both
-    Z and X, in one `_apply_layer` call on a copy. When A u B is the whole
-    chain that is every generator. The split of bp is cached per (L, bp).
-    """
-    L = state.num_qubits
-    a, traced = _bipartition_split(L, bp)
-    if traced:
-        state = state.copy()
-        state._neg = None  # _apply_layer takes unsigned states; dephasing reads no sign
-        _apply_layer(state, [c for site in traced for c in (site, L + site)], None, ())
-    if rowkernel.LIB is not None:
-        return rowkernel.negativity_rank(state, a.raw) / 2.0
-    bits = state._stabilizer_bits(a.columns)
-    xa, za = np.hsplit(bits, 2)
-    j = parity_matmul(xa, za.T) ^ parity_matmul(za, xa.T)
-    return rank_int_rows(bits_to_int_rows(j)) / 2.0
+    """E = rank(J)/2, J the anticommutation form of rho_AB's generators on
+    A. The split of bp is cached per (L, bp)."""
+    traced, a, b = _traced(state, bp)
+    return _ranks(traced, a, b)[2] / 2.0
 
 
 def mutual_information(state: StabilizerState, bp: Bipartition) -> int:
@@ -166,32 +195,18 @@ class ObservableRecord:
         return (self.S_A, self.S_B, self.S_AB, self.E, self.I, self.purity_log2)
 
 
-@lru_cache(maxsize=64)
-def _covering_split(L: int, bp: Bipartition) -> Optional[Tuple[_Sites, _Sites]]:
-    """A's and B's sites when A u B is the whole chain, else None."""
-    a, traced = _bipartition_split(L, bp)
-    return None if traced else (a, _split(L, bp.region_a).rest)
-
-
 def record_observables(
     state: StabilizerState, bp: Bipartition, time: int
 ) -> ObservableRecord:
-    """The observables of one record. When A and B cover the chain the row
-    kernel returns all three ranks in one call, and S_AB is L - k."""
-    halves = _covering_split(state.num_qubits, bp) if rowkernel.LIB is not None else None
-    if halves is not None:
-        a, b = halves
-        k = state.num_generators
-        rank_b, rank_a, rank_e = rowkernel.record_ranks(state, a.raw, b.raw)
-        s_a = len(a.sites) - (k - rank_b)
-        s_b = len(b.sites) - (k - rank_a)
-        s_ab = state.num_qubits - k
-        e = rank_e / 2.0
-    else:
-        s_a = entropy(state, bp.region_a)
-        s_b = entropy(state, bp.region_b)
-        s_ab = entropy(state, bp.joint())
-        e = negativity(state, bp)
+    """The observables of one record, from one `_ranks` call on rho_AB.
+    When A and B cover the chain no copy is made."""
+    traced, a, b = _traced(state, bp)
+    rank_b, rank_a, rank_j = _ranks(traced, a, b)
+    k = traced.num_generators
+    s_a = len(a.sites) - (k - rank_b)
+    s_b = len(b.sites) - (k - rank_a)
+    s_ab = len(a.sites) + len(b.sites) - k
+    e = rank_j / 2.0
     mi = s_a + s_b - s_ab
     if 2 * e > mi + 1e-9:
         # 2E <= I holds for stabilizer states; a violation signals an engine

@@ -7,15 +7,15 @@
  * stabilizer) arrives as the little-endian bytes of a Python int, S words.
  *
  * apply_layer is the one tableau update: a runner flush's dephasing, gates
- * and Z measurements, or negativity's trace-out, in one call. It makes the
+ * and Z measurements, or entanglement's trace-out, in one call. It makes the
  * row operations of the numpy code it stands in for
  * (channels._dephase_inplace, channels._apply_tables_inplace and
  * stabilizer._collapse_rows), in the same order, so both leave the same
- * bits. region_rank, negativity_rank and record_ranks (a record's three
- * ranks in one call) read the tableau. Nothing here reads or writes a sign. A site, column or gate class out of
- * range makes a call return -2 before it changes anything; the Python side
- * checks the tableau's shape and dtype and the length of every byte
- * argument.
+ * bits. record_ranks, the only rank call, reads it: the three ranks behind
+ * every entropy, negativity and record of negsim.entanglement. Nothing here
+ * reads or writes a sign. A site, column or gate class out of range makes a
+ * call return -2 before it changes anything; the Python side checks the
+ * tableau's shape and dtype and the length of every byte argument.
  *
  * The library also holds polymer_energy, the ground-state DP of
  * polymer._min_energy on the bool bond lattice of a PolymerLattice. It
@@ -265,9 +265,9 @@ static int rank_vectors(u64 *v, int count, int S, int limit, int *owner)
     return rank;
 }
 
-/* Rank of the stabilizer rows on the X and Z columns of count sites (int64),
- * as entanglement.entropy needs it: each column is a vector over the rows,
- * masked to the stabilizers stab. Returns -1 when out of memory. */
+/* Rank of the stabilizer rows on the X and Z columns of count sites (int64):
+ * each column is a vector over the rows, masked to the stabilizers stab.
+ * Returns -1 when out of memory. */
 static int rank_on(const u64 *t, int L, const u64 *stab, const unsigned char *sites, int count)
 {
     int n = 2 * L, S = (L + 63) / 64, k = 0;
@@ -293,22 +293,10 @@ static int rank_on(const u64 *t, int L, const u64 *stab, const unsigned char *si
     return rank;
 }
 
-int region_rank(const u64 *t, int L, const unsigned char *mask,
-                const unsigned char *sites, int count)
-{
-    int S = (L + 63) / 64;
-    if (!sites_ok(sites, count, L))
-        return -2;
-    u64 stab[S];
-    load_mask(mask, S, stab);
-    return rank_on(t, L, stab, sites, count);
-}
-
 /* Rank of J = X_A Z_A^T + Z_A X_A^T over the stabilizer rows, where X_A and
- * Z_A are their bits on count sites (int64): entanglement.negativity's
- * rank. J is built column by column: column s adds X_c for each site c
- * with z_sc = 1 and Z_c for each c with x_sc = 1. Returns -1 when out of
- * memory. */
+ * Z_A are their bits on count sites (int64). J is built column by column:
+ * column s adds X_c for each site c with z_sc = 1 and Z_c for each c with
+ * x_sc = 1. Returns -1 when out of memory. */
 static int negativity_on(const u64 *t, int L, const u64 *stab, const unsigned char *sites,
                          int count)
 {
@@ -345,22 +333,12 @@ static int negativity_on(const u64 *t, int L, const u64 *stab, const unsigned ch
     return rank;
 }
 
-int negativity_rank(const u64 *t, int L, const unsigned char *mask,
-                    const unsigned char *sites, int count)
-{
-    int S = (L + 63) / 64;
-    if (!sites_ok(sites, count, L))
-        return -2;
-    u64 stab[S];
-    load_mask(mask, S, stab);
-    return negativity_on(t, L, stab, sites, count);
-}
-
-/* The three ranks of one record of a bipartition (A, B) that covers the
- * chain, given A's nregion sites region and B's nrest sites rest:
- * out[0] = region_rank on B (S_A's), out[1] = region_rank on A (S_B's) and
- * out[2] = negativity_rank on A. Returns 0, -1 when out of memory, or -2
- * before it reads the tableau when a site is out of range. */
+/* The three ranks of entanglement._ranks for disjoint site sets A and B,
+ * given A's nregion sites region and B's nrest sites rest: out[0] = rank_on
+ * B (S_A's), out[1] = rank_on A (S_B's) and out[2] = negativity_on A (E's).
+ * They serve any A and B once the sites outside A u B are traced out, and
+ * entropy as A = R, B = the rest of the chain. Returns 0, -1 when out of
+ * memory, or -2 before it reads the tableau when a site is out of range. */
 int record_ranks(const u64 *t, int L, const unsigned char *mask, const unsigned char *region,
                  int nregion, const unsigned char *rest, int nrest, int *out)
 {

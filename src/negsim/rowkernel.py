@@ -7,11 +7,11 @@ bit-identical tableaux. It serves these calls, each behind one dispatch line:
 - `channels._apply_layer`, the one tableau update, on unsigned states: pending
   dephasing columns, a brickwork layer's gates (as class indices into
   `channels._class_tables()`) and the layer's Z measurements for the
-  runner's flushes, and the dephasing columns of `entanglement.negativity`'s
+  runner's flushes, and the dephasing columns of `entanglement._traced`'s
   trace-out;
-- `entanglement.record_observables`' one call per record when A and B cover
-  the chain, and the ranks of `entanglement.entropy` and `negativity`, on
-  any state (no rank reads a sign).
+- `entanglement._ranks`, the three GF(2) ranks behind every entropy,
+  negativity and record, in one `record_ranks` call on any state (no rank
+  reads a sign).
 It also holds the ground-state DP of `polymer._min_energy`, which reads the
 bool bond lattice and returns the same integer energy as the numpy DP.
 
@@ -20,7 +20,9 @@ On first import the source is compiled with `cc -O3 -shared -fPIC` into
 that folder is not writable), named by the hash of the source and flags; a
 later import loads that file without running the compiler. The build writes
 a temporary file and renames it into place, so concurrent imports cannot
-see half a library. Without a compiler LIB is None and every caller runs
+see half a library. A build in the package's own folder removes the older
+`rowkernel-*.so` files there; the shared `~/.cache/negsim/` is never
+cleaned, since checkouts of other revisions load from it. Without a compiler LIB is None and every caller runs
 its numpy path.
 """
 
@@ -74,6 +76,17 @@ def _compile(path: Path) -> bool:
             os.unlink(tmp)
 
 
+def _remove_older_builds(path: Path) -> None:
+    """Delete the other rowkernel-*.so files in path's folder. A process that
+    has one loaded keeps its mapping, and a file that cannot go stays."""
+    for old in path.parent.glob("rowkernel-*.so"):
+        if old != path:
+            try:
+                old.unlink()
+            except OSError:
+                pass
+
+
 def load() -> Optional[ctypes.CDLL]:
     """The kernel from the first of CACHE_DIRS that has or can build it, else None."""
     try:
@@ -82,11 +95,15 @@ def load() -> Optional[ctypes.CDLL]:
         return None
     for folder in CACHE_DIRS:
         path = folder / name
-        if path.is_file() or _compile(path):
-            try:
-                return ctypes.CDLL(str(path))
-            except OSError:
+        if not path.is_file():
+            if not _compile(path):
                 continue
+            if folder == CACHE_DIRS[0]:
+                _remove_older_builds(path)
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
     return None
 
 
@@ -171,29 +188,12 @@ def apply_layer(state, tables, columns, gate_sites, classes, sites) -> int:
     return n
 
 
-def _rank(fn, state, sites) -> int:
-    """sites: int64 site indices, or their bytes as entanglement caches them."""
-    raw = _int64s(sites)
-    rank = _checked(fn(_address(state), state.num_qubits, _mask(state), raw, len(raw) >> 3))
-    if rank < 0:
-        raise MemoryError("row kernel could not allocate its rank buffers")
-    return rank
-
-
-def region_rank(state, sites) -> int:
-    """Rank of the stabilizer rows restricted to the X and Z columns of sites."""
-    return _rank(LIB.region_rank, state, sites)
-
-
-def negativity_rank(state, sites) -> int:
-    """Rank of the anticommutation form of the stabilizer rows on sites."""
-    return _rank(LIB.negativity_rank, state, sites)
-
-
 def record_ranks(state, region, rest) -> Tuple[int, int, int]:
-    """For a bipartition that covers the chain, A's sites region and B's
-    sites rest: (region_rank on rest, region_rank on region,
-    negativity_rank on region) in one call."""
+    """For disjoint site sets A (region) and B (rest), int64 sites or their
+    bytes as entanglement caches them: (rank of the stabilizer rows on B's X
+    and Z columns, the same on A's, rank of the anticommutation form of the
+    rows on A) in one call. Any A and B serve once the sites outside A u B
+    are traced out."""
     a, b = _int64s(region), _int64s(rest)
     out = (ctypes.c_int * 3)()
     code = _checked(LIB.record_ranks(

@@ -240,6 +240,13 @@ def test_negativity_on_non_covering_splits_matches_dense(both_paths):
             want = log_negativity(reduced, [joint.index(site) for site in bp.region_b])
             assert abs(negativity(state, bp) - want) < 1e-9, (a, b)
             assert negativity(state, bp) == negativity(state, Bipartition(set(a), tuple(b)))
+            rec = record_observables(state, bp, 0)  # the record traces out the same sites
+            s_a, s_b = dense.entropy(bp.region_a), dense.entropy(bp.region_b)
+            s_ab = dense.entropy(joint)
+            assert abs(rec.S_A - s_a) < 1e-9 and abs(rec.S_B - s_b) < 1e-9, (a, b)
+            assert abs(rec.S_AB - s_ab) < 1e-9 and abs(rec.E - want) < 1e-9, (a, b)
+            assert abs(rec.I - (s_a + s_b - s_ab)) < 1e-9, (a, b)
+            assert rec.purity_log2 == round(np.log2(dense.purity())), (a, b)
 
 
 def test_out_of_range_region_raises_on_every_call(both_paths):
@@ -252,4 +259,16 @@ def test_out_of_range_region_raises_on_every_call(both_paths):
         for _ in range(2):
             with pytest.raises(ValueError, match="out of range"):
                 negativity(state, bp)
+            with pytest.raises(ValueError, match="out of range"):
+                record_observables(state, bp, 0)
+    # an int64 cast would cut these to real sites: [0.5] read as [0]
+    for region in ([0.5], [1.7], ["0"], [None], (0, 2.5)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not an integer"):
+                entropy(state, region)
+            with pytest.raises(ValueError, match="not an integer"):
+                Bipartition(region, [3])
+            with pytest.raises(ValueError, match="not an integer"):
+                Bipartition([3], region)
     assert entropy(state, (0, 3)) == 0 and negativity(state, Bipartition([0], [3])) == 0.0
+    assert entropy(state, [np.int64(1), 2.0]) == 0 and Bipartition([1.0], [np.int32(2)]).joint() == (1, 2)

@@ -106,7 +106,7 @@ def test_ranks_match_int_row_elimination(monkeypatch, L, signed):
             region = rng.choice(L, size=int(rng.integers(1, L + 1)), replace=False)
             columns = np.concatenate([region, region + L])
             want = rank_int_rows(bits_to_int_rows(state._stabilizer_bits(columns)))
-            assert rowkernel.region_rank(state, region) == want
+            assert rowkernel.record_ranks(state, [], region)[0] == want
             assert entropy(state, region) == without_kernel(monkeypatch, entropy, state, region)
             order = rng.permutation(L)  # A and B need not cover the chain
             size_a = int(rng.integers(1, L))
@@ -115,6 +115,8 @@ def test_ranks_match_int_row_elimination(monkeypatch, L, signed):
             before = state.copy()
             got = negativity(state, bp)
             assert got == without_kernel(monkeypatch, negativity, state, bp)
+            rec = record_observables(state, bp, trial)  # traced out, then one record_ranks call
+            assert rec == without_kernel(monkeypatch, record_observables, state, bp, trial)
             assert state == before  # the traced-out copy leaves the input alone
             cover = Bipartition(order[:size_a].tolist(), order[size_a:].tolist())
             rec = record_observables(state, cover, trial)  # one record_ranks call
@@ -183,8 +185,8 @@ def test_kernel_rejects_sites_out_of_range_and_changes_nothing():
     before = state.copy()
     tables = _class_tables()
     calls = [
-        lambda: rowkernel.region_rank(state, [0, 5]),
-        lambda: rowkernel.negativity_rank(state, [-1]),
+        lambda: rowkernel.record_ranks(state, [0, 5], [1]),
+        lambda: rowkernel.record_ranks(state, [0], [-1]),
         lambda: rowkernel.record_ranks(state, [0, 1], [2, 5]),
         # each layer call has valid ops before the bad one, which must not run
         lambda: rowkernel.apply_layer(state, tables, [0, 9], [0, 2], [3, 7], [1, 5]),
@@ -292,6 +294,24 @@ def test_build_renames_into_cache_and_warm_load_skips_the_compiler(tmp_path, mon
 
     monkeypatch.setattr(rowkernel, "_compile", no_compiler)
     assert rowkernel.load() is not None
+    monkeypatch.undo()
+
+    # a build in the first folder removes its older builds and nothing else
+    first, second = tmp_path / "first", tmp_path / "second"
+    for folder in (first, second):
+        folder.mkdir()
+        (folder / "rowkernel-0000000000000000.so").write_bytes(b"stale")
+    (first / "notes.txt").write_text("kept")
+    monkeypatch.setattr(rowkernel, "CACHE_DIRS", (first, second))
+    assert rowkernel.load() is not None
+    assert sorted(p.name for p in first.iterdir()) == sorted([name, "notes.txt"])
+    # the shared cache keeps other checkouts' builds; chmod does not stop
+    # root, so a regular file in the first folder's path sends the build on
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    monkeypatch.setattr(rowkernel, "CACHE_DIRS", (blocked / "sub", second))
+    assert rowkernel.load() is not None
+    assert sorted(p.name for p in second.iterdir()) == sorted([name, "rowkernel-0000000000000000.so"])
 
 
 @needs_kernel
