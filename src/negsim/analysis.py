@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .circuit import CircuitConfig, _config_line, _write_lines, monte_carlo, run_trajectory
 from .entanglement import length_distribution
@@ -197,6 +196,91 @@ class CollapseFit:
     trace: List[Tuple[float, float, float]] = field(default_factory=list)
 
 
+def _nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int) -> Tuple[np.ndarray, float]:
+    """Minimise func from x0 by the Nelder-Mead simplex; returns (x, f(x)).
+
+    A transcription of scipy.optimize's `_minimize_neldermead` (scipy 1.17)
+    for the options `optimize_collapse` uses (no bounds, the standard
+    coefficients, no limit on calls), so it takes the same steps and returns
+    the same point as `minimize(func, x0, method="Nelder-Mead", options=...)`.
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers;
+    BSD 3-Clause License.
+    """
+    x0 = np.atleast_1d(x0).flatten()
+    dtype = x0.dtype if np.issubdtype(x0.dtype, np.inexact) else np.float64
+    x0 = np.asarray(x0, dtype=dtype)
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+
+    def f(x):
+        return func(np.copy(x))  # func gets a copy of each vertex, as in scipy
+
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = f(sim[k])
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        doshrink = 0
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            if fxr < fsim[-1]:  # contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+                else:
+                    doshrink = 1
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+                else:
+                    doshrink = 1
+            if doshrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 def optimize_collapse(
     curves: Sequence[Curve],
     nu_range: Tuple[float, float] = (0.5, 2.0),
@@ -237,14 +321,9 @@ def optimize_collapse(
             return float("inf")
         return collapse_objective(curves, pc, nu)
 
-    res = minimize(
-        clamped,
-        x0=np.array([best[1], best[2]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-5, "fatol": 1e-10, "maxiter": 400},
-    )
-    p_c, nu = float(res.x[0]), float(res.x[1])
-    cost = float(res.fun)
+    x, fun = _nelder_mead(clamped, np.array([best[1], best[2]]), xatol=1e-5, fatol=1e-10, maxiter=400)
+    p_c, nu = float(x[0]), float(x[1])
+    cost = float(fun)
     if cost > best[0]:  # simplex wandered off; keep the grid optimum
         p_c, nu, cost = best[1], best[2], best[0]
     trace.append((p_c, nu, cost))

@@ -321,23 +321,24 @@ def _apply_tables_inplace(state, maps, cols_i, cols_j, flips=None):
     state._cols[:, idx] = new
 
 
-def _apply_layer(state, columns, gates, sites) -> int:
+def _apply_layer(state, columns, gates, sites, rng: Optional[Rng] = None) -> int:
     """The one tableau update call: dephase each tableau column of columns
     (`_dephase_inplace`), apply gates, a ("gates", (cols, sym, signs))
     payload of circuit._layer_ops or None, on the pairs (cols, cols + 1),
     then measure Z on sites in order (`_measure_z_inplace` with no
-    generator). Returns the number of random outcomes, whose bits the caller
-    draws. The state must be unsigned: the gates' sign bits are not applied
-    and no outcome is drawn. The runner makes one call between two results
+    generator). Returns the number of random outcomes n; with a generator
+    rng it draws their bits from it afterwards (`_draw_outcomes(rng, n)`).
+    The state must be unsigned: the gates' sign bits are not applied and the
+    outcome bits are dropped. The runner makes one call between two results
     it needs, and `entanglement._traced` one to trace sites out.
 
     A column, gate site, gate class or measured site out of range raises
-    ValueError before anything changes, on either path.
+    ValueError before anything changes or is drawn, on either path.
     """
     tables = _class_tables()
     cols, sym = (gates[0], gates[1]) if gates is not None else ((), ())
     if rowkernel.LIB is not None and state._neg is None:
-        return rowkernel.apply_layer(state, tables, columns, cols, sym, sites)
+        return rowkernel.apply_layer(state, tables, columns, cols, sym, sites, rng)
     L = state.num_qubits
     if len(sym) != len(cols):
         raise ValueError("need one gate class per gate")
@@ -348,7 +349,16 @@ def _apply_layer(state, columns, gates, sites) -> int:
         _dephase_inplace(state, column)
     if gates is not None:
         _apply_tables_inplace(state, tables[sym], cols, cols + 1)
-    return sum(bool(_measure_z_inplace(state, site, None, need_outcome=False)) for site in sites)
+    n = sum(bool(_measure_z_inplace(state, site, None, need_outcome=False)) for site in sites)
+    if rng is not None:
+        _draw_outcomes(rng, n)
+    return n
+
+
+def _draw_outcomes(rng: Rng, n: int) -> None:
+    """Draw and drop n outcome bits with one rng.integers(2, size=n), which
+    leaves the stream where n scalar rng.integers(2) calls do."""
+    rng.integers(2, size=n)
 
 
 def _fold_gate_signs(state, old: np.ndarray, flips: np.ndarray) -> None:

@@ -10,11 +10,13 @@ and aggregation is done in trajectory order, so results are bit-identical
 for any worker count. The draw order is part of the contract; `_layer_ops`
 owns it, and both `run_trajectory` and `oracle.replay_trajectory` walk it.
 A layer's Z measurements are one op: the runner measures its sites, then
-draws the bits of the random outcomes among them (batched when there are
-four or more), and the dense replay draws each bit as it measures; both
-leave the stream in the same state. The runner applies the ops it has
-buffered in one `channels._apply_layer` call per flush: at each measure op,
-at each record and at the end.
+draws the bits of the random outcomes among them in one batch, and the
+dense replay draws each bit as it measures; both leave the stream in the
+same state. The runner applies the ops it has buffered in one
+`channels._apply_layer` call per flush: at each measure op, at each record
+and at the end. With the row kernel built, the layer's draws and the
+outcome bits are made in C from the trajectory's own bit generator, with
+numpy's algorithms, so they are the same numbers.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 # The runner calls only _apply_layer; bench/workloads.py still wraps
 # _apply_tables_inplace, _measure_z_inplace and _dephase_inplace here by
 # name, so the names stay importable.
+from . import rowkernel
 from .channels import (  # noqa: F401
     _apply_layer,
     _apply_tables_inplace,
@@ -142,6 +145,19 @@ class TrajectoryResult:
         return self.table()[:, idx]
 
 
+def _numpy_layer_draws(rng: np.random.Generator, n: int, L: int, p: float):
+    """A layer's draws before its measurements, by numpy's own calls: the
+    reference that rowkernel.draw_layer matches value for value."""
+    sym, signs = rng.integers(720, size=n), rng.integers(16, size=n)
+    return sym, signs, np.nonzero(rng.random(L) < p)[0].tolist() if p > 0 else []
+
+
+def _numpy_site_draws(rng: np.random.Generator, L: int, m: int) -> List[int]:
+    """random_sites(m)'s sites by numpy's own call, the reference for
+    rowkernel.draw_sites."""
+    return sorted(rng.choice(L, size=m, replace=False).tolist())
+
+
 def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
     """Yield one trajectory's operations as (t, kind, arg), in RNG draw order.
 
@@ -149,52 +165,51 @@ def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
     - ("gates", (cols, sym, signs)) after rng.integers(720, size=n) gate
       classes and rng.integers(16, size=n) sign bits for the n gates on sites
       (cols, cols + 1), from site 0 on odd t and site 1 on even t (cols is
-      one read-only array per parity, made once per trajectory);
+      one read-only array per parity, made once per trajectory; sym and signs
+      are fresh arrays every layer);
     - ("measure", sites) once, with the sites of rng.random(L) < p in site
       order (drawn only when p > 0, and yielded only when some site is hit).
       Before resuming, the consumer measures them in order and then draws one
       outcome bit per random outcome (anticommuting or appended), in site
       order: n scalar rng.integers(2) calls or one rng.integers(2, size=n),
-      which leave the stream in the same state (`_draw_outcomes`);
+      which leave the stream in the same state (`channels._draw_outcomes`);
     - ("dephase", site) for sites 0 and L - 1 on the boundary stride, or the
       sorted sites of rng.choice(L, size=m, replace=False) for random_sites(m);
     - ("record", None) every observables_every layers and at T.
     The runner's state carries no signs, yet every one of these draws is made.
+    With the row kernel built, the first three draws of a layer are one
+    `rowkernel.draw_layer` call and the dephasing sites one `draw_sites`
+    call, which make numpy's draws in C; `_numpy_layer_draws` and
+    `_numpy_site_draws` are the numpy calls they stand in for.
     """
-    L, T, stride = cfg.L, cfg.steps, cfg.observables_every
+    L, T, stride, p = cfg.L, cfg.steps, cfg.observables_every, cfg.p
     bath, param = cfg.schedule()
     bricks = (np.arange(1, L - 1, 2), np.arange(0, L - 1, 2))  # even t, odd t
     for cols in bricks:
         cols.flags.writeable = False  # every layer of its parity yields this array
+    draw_layer, draw_sites = (
+        (rowkernel.draw_layer, rowkernel.draw_sites)
+        if rowkernel.LIB is not None
+        else (_numpy_layer_draws, _numpy_site_draws)
+    )
+    if L > 10000 and param > L // 50:  # numpy's choice shuffles a tail here, not Floyd
+        draw_sites = _numpy_site_draws
     for t in range(1, T + 1):
         cols = bricks[t % 2]
+        sym, signs, sites = draw_layer(rng, cols.size, L, p)
         if cols.size:
-            sym = rng.integers(720, size=cols.size)
-            yield t, "gates", (cols, sym, rng.integers(16, size=cols.size))
-        if cfg.p > 0:
-            sites = np.nonzero(rng.random(L) < cfg.p)[0].tolist()
-            if sites:
-                yield t, "measure", sites
+            yield t, "gates", (cols, sym, signs)
+        if sites:
+            yield t, "measure", sites
         if bath == "boundary":
             if t % param == 0:
                 yield t, "dephase", 0
                 yield t, "dephase", L - 1
         elif param:
-            for site in sorted(rng.choice(L, size=param, replace=False).tolist()):
+            for site in draw_sites(rng, L, param):
                 yield t, "dephase", site
         if t % stride == 0 or t == T:
             yield t, "record", None
-
-
-def _draw_outcomes(rng: np.random.Generator, n: int) -> None:
-    """Draw and drop n outcome bits: n scalar rng.integers(2) calls, or for
-    n >= 4 one rng.integers(2, size=n), which leaves PCG64 in the same state
-    and costs about as much as three scalar calls."""
-    if n >= 4:
-        rng.integers(2, size=n)
-    else:
-        for _ in range(n):
-            rng.integers(2)
 
 
 def run_trajectory(
@@ -216,7 +231,7 @@ def run_trajectory(
     gates = None  # a gates payload not yet applied
     for t, kind, arg in _layer_ops(cfg, rng):
         if kind == "measure":
-            _draw_outcomes(rng, _apply_layer(state, columns, gates, arg))
+            _apply_layer(state, columns, gates, arg, rng)
             columns, gates = [], None
             continue
         if gates is not None or kind == "record" and columns:

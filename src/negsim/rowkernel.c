@@ -17,6 +17,13 @@
  * call return -2 before it changes anything; the Python side checks the
  * tableau's shape and dtype and the length of every byte argument.
  *
+ * draw_layer, draw_sites and apply_layer's outcome bits draw from a
+ * trajectory's numpy.random.Generator through its bitgen_t, the struct of
+ * function pointers numpy's own C draws from, with numpy's algorithms: the
+ * same values, and the bit generator left in the same state, as the
+ * Generator calls that circuit._layer_ops names. The Python side holds the
+ * bit generator's lock around each call.
+ *
  * The library also holds polymer_energy, the ground-state DP of
  * polymer._min_energy on the bool bond lattice of a PolymerLattice. It
  * returns -2 for a query out of range before it reads the lattice; the
@@ -209,17 +216,87 @@ WIDE static void gate(u64 *t, int L, const u64 *map, int64_t i, int64_t j)
     }
 }
 
+/* numpy's bitgen_t (numpy/random/bitgen.h) */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* A uniform integer in [0, r] for r < 2^32 - 1: numpy's
+ * buffered_bounded_lemire_uint32 (Lemire, arXiv:1805.10941), which
+ * Generator.integers and choice use for such ranges. No draw when r = 0. */
+static uint32_t bounded(bitgen_t *g, uint32_t r)
+{
+    if (r == 0)
+        return 0;
+    uint32_t excl = r + 1;
+    uint64_t m = (uint64_t)g->next_uint32(g->state) * excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < excl) {
+        uint32_t threshold = (UINT32_MAX - r) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)g->next_uint32(g->state) * excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* A layer's draws before its measurements, as rng.integers(720, size=n),
+ * rng.integers(16, size=n) and, when p > 0, rng.random(L) < p make them:
+ * out[0, n) gets the gate classes, out[n, 2n) the sign bits and out from 2n
+ * on the sites hit, in order. Returns the number of sites hit. */
+int draw_layer(bitgen_t *g, int n, int L, double p, int64_t *out)
+{
+    int count = 0;
+    for (int i = 0; i < 2 * n; i++)
+        out[i] = bounded(g, i < n ? 719 : 15);
+    if (p > 0)
+        for (int s = 0; s < L; s++)
+            if (g->next_double(g->state) < p)
+                out[2 * n + count++] = s;
+    return count;
+}
+
+/* The set rng.choice(L, size=m, replace=False) draws where numpy uses
+ * Floyd's algorithm (all but L > 10000 with m > L / 50): m draws in [0, j]
+ * for j = L - m .. L - 1, each adding its value or, when that is taken, j;
+ * then the m - 1 draws of numpy's shuffle of the result, in [0, i] for
+ * i = m - 1 .. 1, which reorder it and change no member. The members go
+ * into sites in increasing order. */
+void draw_sites(bitgen_t *g, int L, int m, int64_t *sites)
+{
+    int S = (L + 63) / 64, k = 0;
+    u64 taken[S];
+    memset(taken, 0, sizeof taken);
+    for (int j = L - m; j < L; j++) {
+        int v = (int)bounded(g, (uint32_t)j);
+        v = has(taken, v) ? j : v;
+        taken[v >> 6] |= BIT(v);
+    }
+    for (int i = m - 1; i >= 1; i--)
+        bounded(g, (uint32_t)i);
+    for (int w = 0; w < S; w++)
+        for (u64 bits = taken[w]; bits; bits &= bits - 1)
+            sites[k++] = 64 * w + __builtin_ctzll(bits);
+}
+
 /* One flush of the runner, in its order: dephase the ncols int64 tableau
  * columns cols, apply the ngates gates of a brickwork layer (gate g on the
  * sites (gates[g], gates[g] + 1) with the map tables + 16 * classes[g],
  * tables being the (720, 4, 4) array of channels._class_tables), then
- * measure Z on the nsites int64 sites. The mask bytes are updated in place.
- * Returns the number of random outcomes (cases b and c), or -2 before any
- * bit changes when a column, site or class is out of range. */
+ * measure Z on the nsites int64 sites and, when g is not NULL, draw one
+ * outcome bit in [0, 1] from it per random outcome. The mask bytes are
+ * updated in place. Returns the number of random outcomes (cases b and c),
+ * or -2 before any bit changes or draw when a column, site or class is out
+ * of range. */
 int apply_layer(u64 *t, int L, unsigned char *mask, const u64 *tables,
                 const unsigned char *cols, int ncols, const unsigned char *gates,
                 const unsigned char *classes, int ngates, const unsigned char *sites,
-                int nsites)
+                int nsites, bitgen_t *g)
 {
     int S = (L + 63) / 64, random = 0;
     if (!sites_ok(cols, ncols, 2 * L) || !sites_ok(gates, ngates, L - 1)
@@ -236,6 +313,8 @@ int apply_layer(u64 *t, int L, unsigned char *mask, const u64 *tables,
     for (int i = 0; i < nsites; i++)
         random += measure(t, L, stab, (int)site_at(sites, i));
     memcpy(mask, stab, sizeof stab);
+    for (int i = 0; g && i < random; i++)
+        bounded(g, 1);
     return random;
 }
 

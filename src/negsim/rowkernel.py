@@ -11,7 +11,13 @@ bit-identical tableaux. It serves these calls, each behind one dispatch line:
   trace-out;
 - `entanglement._ranks`, the three GF(2) ranks behind every entropy,
   negativity and record, in one `record_ranks` call on any state (no rank
-  reads a sign).
+  reads a sign);
+- `circuit._layer_ops`' draws: `draw_layer` (a layer's gate classes, sign
+  bits and measured sites) and `draw_sites` (the sites of
+  `random_sites(m)`), and `apply_layer`'s outcome bits. They draw through
+  numpy's `bitgen_t` interface from the trajectory's own Generator, with
+  numpy's algorithms, so they give the Generator calls' values and leave its
+  bit generator in the same state; each call holds the bit generator's lock.
 It also holds the ground-state DP of `polymer._min_energy`, which reads the
 bool bond lattice and returns the same integer energy as the numpy DP.
 
@@ -36,6 +42,7 @@ import shutil
 import struct
 import tempfile
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -111,14 +118,18 @@ LIB = load()
 if LIB is not None:  # one call per lattice: declared types cost little there
     LIB.polymer_energy.argtypes = (ctypes.c_void_p,) + (ctypes.c_int,) * 4
 
-# The tableau functions are called without declared argument types, which
-# halves ctypes' per-call cost: every argument is a Python int (C int), a
-# bytes object or ctypes buffer (a pointer to its data) or a c_void_p. The
+# The tableau and draw functions are called without declared argument
+# types, which halves ctypes' per-call cost: every argument is a Python int
+# (C int), a bytes object or ctypes buffer (a pointer to its data), a
+# c_void_p, a c_double or None (a NULL pointer). The
 # tableau last passed in keeps its c_void_p here, because reading
 # ndarray.ctypes.data costs microseconds and the runner passes the same
-# array every call; so does the gate class table of apply_layer.
+# array every call; so does the gate class table of apply_layer, and so do
+# the bitgen_t pointer and lock of the bit generator last drawn from.
 _last = (None, None)
 _tables = (None, None)
+_gen = (None, None, None)
+_NO_LOCK = nullcontext()
 
 
 def _address(state) -> ctypes.c_void_p:
@@ -143,6 +154,15 @@ def _tables_address(tables) -> ctypes.c_void_p:
         address = ctypes.c_void_p(tables.ctypes.data)
         _tables = (tables, address)
     return address
+
+
+def _bitgen(rng):
+    """The bitgen_t pointer and the lock of rng's bit generator."""
+    global _gen
+    bits, held = rng.bit_generator, _gen  # one read: another thread may swap _gen
+    if held[0] is not bits:
+        held = _gen = (bits, bits.ctypes.bit_generator, bits.lock)
+    return held[1], held[2]
 
 
 def _mask(state) -> bytes:
@@ -170,22 +190,49 @@ def _checked(code: int) -> int:
     return code
 
 
-def apply_layer(state, tables, columns, gate_sites, classes, sites) -> int:
+def apply_layer(state, tables, columns, gate_sites, classes, sites, rng=None) -> int:
     """Dephase the tableau columns, apply gate g with the map tables[classes[g]]
     on the sites (gate_sites[g], gate_sites[g] + 1), then measure Z on sites,
     all in place and in that order; returns the number of random outcomes.
-    tables is channels._class_tables()."""
+    With a Generator rng it then draws their bits from it, as
+    rng.integers(2, size=n) does. tables is channels._class_tables()."""
     L = state.num_qubits
     cols, gates, kinds, meas = _int64s(columns), _int64s(gate_sites), _int64s(classes), _int64s(sites)
     if len(kinds) != len(gates):
         raise ValueError("need one gate class per gate")
     mask = ctypes.create_string_buffer(_mask(state), 8 * ((L + 63) >> 6))
-    n = _checked(LIB.apply_layer(
-        _address(state), L, mask, _tables_address(tables), cols, len(cols) >> 3,
-        gates, kinds, len(gates) >> 3, meas, len(meas) >> 3,
-    ))
+    bitgen, lock = _bitgen(rng) if rng is not None else (None, _NO_LOCK)
+    with lock:
+        n = _checked(LIB.apply_layer(
+            _address(state), L, mask, _tables_address(tables), cols, len(cols) >> 3,
+            gates, kinds, len(gates) >> 3, meas, len(meas) >> 3, bitgen,
+        ))
     state._stab = int.from_bytes(mask.raw, "little")
     return n
+
+
+def draw_layer(rng, n: int, L: int, p: float):
+    """(rng.integers(720, size=n), rng.integers(16, size=n), the sites of
+    rng.random(L) < p as a list), drawn in that order and the last only when
+    p > 0. The two arrays are fresh for every call."""
+    buf = (ctypes.c_int64 * (2 * n + L))()
+    bitgen, lock = _bitgen(rng)
+    with lock:
+        count = LIB.draw_layer(bitgen, n, L, ctypes.c_double(p), buf)
+    drawn = np.frombuffer(buf, np.int64, 2 * n)
+    return drawn[:n], drawn[n:], buf[2 * n : 2 * n + count]
+
+
+def draw_sites(rng, L: int, m: int) -> list:
+    """sorted(rng.choice(L, size=m, replace=False)), for L <= 10000 or
+    m <= L // 50, where numpy draws it with Floyd's algorithm."""
+    if not 0 <= m <= L:
+        raise ValueError("cannot draw more distinct sites than the chain has")
+    buf = (ctypes.c_int64 * m)()
+    bitgen, lock = _bitgen(rng)
+    with lock:
+        LIB.draw_sites(bitgen, L, m, buf)
+    return buf[:]
 
 
 def record_ranks(state, region, rest) -> Tuple[int, int, int]:

@@ -137,6 +137,30 @@ def test_optimize_collapse_recovers_synthetic_parameters():
     assert len(fit.trace) >= 25 * 16
 
 
+def test_nelder_mead_takes_scipys_steps():
+    pytest.importorskip("scipy")
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(5)
+    options = {"xatol": 1e-5, "fatol": 1e-10, "maxiter": 400}
+    for trial in range(80):
+        a, c = rng.normal(size=3), rng.normal(size=2)
+        lo = rng.uniform(-1, 0, 2)
+        hi = lo + rng.uniform(0.5, 3, 2)
+        funcs = [
+            lambda v: (a[0] - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2,  # Rosenbrock
+            lambda v: np.inf if np.any(v < lo) or np.any(v > hi) else float(np.sum((v - c) ** 2)),
+            lambda v: float(np.abs(v - c).sum() + np.sin(a[1] * v[0])),
+            lambda v: float(np.cos(a[0] * v[0]) + a[1] * v[1] ** 2 + abs(a[2]) * v[0] ** 4),
+        ]
+        x0 = rng.normal(size=2) if trial % 5 else np.array([0.0, rng.normal()])
+        for f in funcs:
+            with np.errstate(invalid="ignore"):  # inf - inf in the stopping test
+                want = minimize(f, x0=x0, method="Nelder-Mead", options=options)
+                x, fun = negsim.analysis._nelder_mead(f, x0, **options)
+            assert np.array_equal(x, want.x) and fun == want.fun, trial
+
+
 def test_optimize_collapse_input_guards():
     ps = np.linspace(0.1, 0.3, 5)
     two = synthetic_collapse_curves(0.2, 1.0, [16, 32], ps, 0.0, 1)

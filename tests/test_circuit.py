@@ -8,14 +8,15 @@ import pytest
 from negsim.channels import (
     _apply_tables_inplace,
     _class_tables,
+    _draw_outcomes,
     _gate_from_class,
     apply_clifford,
     make_rng,
+    trajectory_rng,
 )
 from negsim.circuit import (
     CircuitConfig,
     MonteCarloResult,
-    _draw_outcomes,
     _layer_ops,
     monte_carlo,
     run_trajectory,
@@ -142,6 +143,64 @@ def test_batched_outcome_draw_leaves_the_stream_where_scalar_draws_do(n, lead):
         assert rng.bit_generator.state == scalar.bit_generator.state
     after = [(rng.random(), rng.integers(720, size=3).tolist()) for rng in streams]
     assert after[1] == after[0] and after[2] == after[0]
+
+
+def reference_ops(cfg, rng):
+    """The ops of _layer_ops from the numpy calls its docstring names,
+    written out here so that both draw paths are held to them."""
+    L, T = cfg.L, cfg.steps
+    bath, param = cfg.schedule()
+    for t in range(1, T + 1):
+        cols = np.arange(1 - t % 2, L - 1, 2)
+        if cols.size:
+            yield t, "gates", (cols, rng.integers(720, size=cols.size), rng.integers(16, size=cols.size))
+        if cfg.p > 0:
+            sites = np.flatnonzero(rng.random(L) < cfg.p).tolist()
+            if sites:
+                yield t, "measure", sites
+        if bath == "boundary":
+            if t % param == 0:
+                yield t, "dephase", 0
+                yield t, "dephase", L - 1
+        elif param:
+            for site in sorted(rng.choice(L, size=param, replace=False).tolist()):
+                yield t, "dephase", site
+        if t % cfg.observables_every == 0 or t == T:
+            yield t, "record", None
+
+
+def assert_same_draws(cfg):
+    got_rng, want_rng = trajectory_rng(cfg.seed, 0), trajectory_rng(cfg.seed, 0)
+    got, want = list(_layer_ops(cfg, got_rng)), list(reference_ops(cfg, want_rng))
+    assert [op[:2] for op in got] == [op[:2] for op in want]
+    for (t, kind, arg), (_, _, expected) in zip(got, want):
+        if kind == "gates":
+            assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(arg, expected)), t
+        else:
+            assert arg == expected and type(arg) is type(expected), t
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    ["boundary_even_steps", "boundary_every_step", "random_sites(0)", "random_sites(1)",
+     "random_sites(3)", "random_sites(L)"],
+)
+@pytest.mark.parametrize("L", [2, 4, 32, 34, 64, 66, 160])
+def test_layer_ops_make_numpys_draws(both_paths, L, schedule):
+    # the kernel draws through the generator's bitgen_t; every payload and
+    # the stream afterwards must be numpy's own
+    schedule = schedule.replace("(L)", f"({L})").replace("(3)", f"({min(3, L)})")
+    for p in (0.0, 0.1, 0.3, 1.0):
+        assert_same_draws(CircuitConfig(L=L, p=p, T=9, seed=L, dephasing_schedule=schedule,
+                                        observables_every=2))
+
+
+@pytest.mark.parametrize("L, m", [(10002, 200), (10002, 201), (20000, 400), (20000, 401)])
+def test_layer_ops_follow_numpys_choice_past_ten_thousand_sites(both_paths, L, m):
+    # numpy's choice draws Floyd's set up to m = L // 50 and shuffles a tail
+    # of range(L) past it when L > 10000
+    assert_same_draws(CircuitConfig(L=L, p=0.0, T=2, seed=m, dephasing_schedule=f"random_sites({m})"))
 
 
 def test_measurements_come_as_one_op_per_layer():

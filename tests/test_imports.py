@@ -3,10 +3,14 @@
 No linter is a dependency of negsim, so this AST scan keeps unused imports
 out. The package's `__init__.py` only re-exports and is skipped; an import
 line marked `# noqa: F401` is kept on purpose (a name other code looks up
-by module).
+by module). A child interpreter also checks that importing negsim loads no
+scipy module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,10 @@ def test_module_imports_are_used(path):
 def test_scan_finds_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom typing import List, Tuple\nx: 'List[int]' = []\n"
     assert unused_imports(source) == [(1, "os"), (3, "Tuple")]
+
+
+def test_import_negsim_loads_no_scipy():
+    code = "import sys, negsim, negsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr

@@ -237,11 +237,11 @@ def _off_by_one_record(original):
 
 
 def _skip_measurements(original):
-    return lambda state, columns, gates, sites: original(state, columns, gates, ())
+    return lambda state, columns, gates, sites, rng=None: original(state, columns, gates, (), rng)
 
 
 def _skip_dephasing(original):
-    return lambda state, columns, gates, sites: original(state, (), gates, sites)
+    return lambda state, columns, gates, sites, rng=None: original(state, (), gates, sites, rng)
 
 
 CORRUPTIONS = pytest.mark.parametrize(

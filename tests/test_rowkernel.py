@@ -24,6 +24,7 @@ from negsim.channels import (
     _apply_tables_inplace,
     _class_tables,
     _dephase_inplace,
+    _draw_outcomes,
     _measure_z_inplace,
     make_rng,
 )
@@ -164,6 +165,39 @@ def test_layer_call_matches_per_op_numpy_sequence(monkeypatch, L, schedule, p):
         assert fast._stab == slow._stab, t
         assert np.array_equal(fast._cols, slow._cols), t
     assert validate(fast) is None
+
+
+@pytest.mark.parametrize("L", [2, 33, 64, 160])
+def test_layer_call_draws_the_outcome_bits_it_counts(both_paths, L):
+    state = product_state(L, signed=False)
+    twin = state.copy()
+    drawn, dropped = make_rng(100 + L), make_rng(100 + L)
+    total = 0
+    for t, call in enumerate(layer_calls(L, 0.3, "random_sites", 40, make_rng(L))):
+        n = _apply_layer(state, *call, drawn)
+        assert _apply_layer(twin, *call) == n, t
+        _draw_outcomes(dropped, n)
+        assert drawn.bit_generator.state == dropped.bit_generator.state, t
+        total += n
+    assert total and np.array_equal(state._cols, twin._cols)
+    with pytest.raises(ValueError):  # a bad site draws nothing
+        _apply_layer(state, (), None, [0, L], drawn)
+    assert drawn.bit_generator.state == dropped.bit_generator.state
+
+
+@needs_kernel
+def test_kernel_choice_draws_match_through_lemire_rejections():
+    # with seed 1674 one of numpy's bounded draws in this choice rejects a
+    # 32-bit word and draws again, so the stream moves past 2m - 1 words
+    L, m = 20000, 400
+    got, want, words = make_rng(1674), make_rng(1674), make_rng(1674)
+    assert rowkernel.draw_sites(got, L, m) == sorted(want.choice(L, size=m, replace=False).tolist())
+    assert got.bit_generator.state == want.bit_generator.state
+    words.integers(2**32, size=2 * m - 1, dtype=np.uint32)  # one word each
+    assert words.bit_generator.state != want.bit_generator.state
+    with pytest.raises(ValueError):  # more sites than the chain has: no draw
+        rowkernel.draw_sites(got, 4, 5)
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 @pytest.mark.parametrize("L", [2, 31, 32, 33, 64, 65, 160])
