@@ -28,6 +28,7 @@ import re
 import typing
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -57,7 +58,7 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-_SCHEDULE_RE = re.compile(r"^random_sites[(:]\s*(\d+)\s*\)?$")
+_SCHEDULE_RE = re.compile(r"random_sites(?:\(([0-9]+)\)|:([0-9]+))")
 
 
 @dataclass(frozen=True)
@@ -91,15 +92,16 @@ class CircuitConfig:
 
     def schedule(self) -> Tuple[str, int]:
         """("boundary", 2|1) = dephase both edges every 2nd/1st layer,
-        or ("random", m) = m distinct uniform sites every layer."""
+        or ("random", m) = m distinct uniform sites every layer, spelled
+        exactly random_sites(m) or random_sites:m."""
         s = self.dephasing_schedule
         if s == "boundary_even_steps":
             return ("boundary", 2)
         if s == "boundary_every_step":
             return ("boundary", 1)
-        match = _SCHEDULE_RE.match(s)
+        match = _SCHEDULE_RE.fullmatch(s)
         if match:
-            m = int(match.group(1))
+            m = int(match.group(1) or match.group(2))
             if m > self.L:
                 raise ValueError("random_sites count exceeds L")
             return ("random", m)
@@ -121,7 +123,9 @@ class CircuitConfig:
 @dataclass
 class TrajectoryResult:
     """One trajectory's records as two arrays: `times` (n,) int64 and
-    `observables` (n, 6) float64 in ObservableRecord.FIELDS order."""
+    `observables` (n, 6) float64 in ObservableRecord.FIELDS order.
+    `run_trajectory` returns a read-only `times` that every trajectory with
+    the same record times shares."""
 
     trajectory_id: int
     times: np.ndarray
@@ -212,6 +216,14 @@ def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
             yield t, "record", None
 
 
+@lru_cache(maxsize=64)
+def _shared_times(times: Tuple[int, ...]) -> np.ndarray:
+    """One read-only int64 array per distinct tuple of record times."""
+    out = np.array(times, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def run_trajectory(
     cfg: CircuitConfig, trajectory_index: int = 0, keep_final_state: bool = False
 ) -> TrajectoryResult:
@@ -249,7 +261,7 @@ def run_trajectory(
         _apply_layer(state, columns, gates, ())
     return TrajectoryResult(
         trajectory_id=trajectory_index,
-        times=np.asarray(times, dtype=np.int64),
+        times=_shared_times(tuple(times)),
         observables=np.asarray(rows, dtype=np.float64).reshape(len(rows), len(ObservableRecord.FIELDS)),
         final_state=state if keep_final_state else None,
     )

@@ -22,7 +22,7 @@ import numpy as np
 from . import rowkernel
 from .channels import _apply_layer
 from .gf2 import bits_to_int_rows, parity_matmul, rank_int_rows
-from .stabilizer import StabilizerState, _row_interval, canonicalize
+from .stabilizer import StabilizerState, _generator_intervals, canonicalize
 
 __all__ = [
     "Bipartition",
@@ -226,15 +226,12 @@ def record_observables(
 def length_distribution(state: StabilizerState) -> np.ndarray:
     """Counts of clipped-generator lengths; index = length, size L + 1.
 
-    Identity rows (possible in mixed states) do not contribute.
+    The generators of `canonicalize(state)` (the row kernel's on unsigned
+    states) are read as intervals from the tableau's columns in one numpy
+    pass. Identity rows (possible in mixed states) do not contribute.
     """
-    L = state.num_qubits
-    counts = np.zeros(L + 1, dtype=np.int64)
-    for row in canonicalize(state).symplectic_int_rows():
-        interval = _row_interval(row, L)
-        if interval is not None:
-            counts[interval[1] - interval[0] + 1] += 1
-    return counts
+    left, right = _generator_intervals(canonicalize(state))
+    return np.bincount(right - left + 1, minlength=state.num_qubits + 1)
 
 
 def window_mass(counts: np.ndarray, lo_frac: float, hi_frac: float) -> float:

@@ -12,10 +12,13 @@
  * (channels._dephase_inplace, channels._apply_tables_inplace and
  * stabilizer._collapse_rows), in the same order, so both leave the same
  * bits. record_ranks, the only rank call, reads it: the three ranks behind
- * every entropy, negativity and record of negsim.entanglement. Nothing here
- * reads or writes a sign. A site, column or gate class out of range makes a
- * call return -2 before it changes anything; the Python side checks the
- * tableau's shape and dtype and the length of every byte argument.
+ * every entropy, negativity and record of negsim.entanglement.
+ * canonicalize runs stabilizer.canonicalize's two sweeps on an unsigned
+ * state with the row-int code's row operations in its order. Nothing here
+ * reads or writes a sign. A site, column, gate class or stabilizer pair out
+ * of range makes a call return -2 before it changes anything; the Python
+ * side checks the tableau's shape and dtype and the length of every byte
+ * argument.
  *
  * draw_layer, draw_sites and apply_layer's outcome bits draw from a
  * trajectory's numpy.random.Generator through its bitgen_t, the struct of
@@ -430,6 +433,136 @@ int record_ranks(const u64 *t, int L, const unsigned char *mask, const unsigned 
     out[1] = rank_on(t, L, stab, region, nregion);
     out[2] = negativity_on(t, L, stab, region, nregion);
     return out[0] < 0 || out[1] < 0 || out[2] < 0 ? -1 : 0;
+}
+
+/* Row r of the tableau as an n-bit bitset, bit c = column c. */
+static void get_row(const u64 *t, int n, int r, u64 *out)
+{
+    const u64 *from = t + (size_t)(r >> 6) * n;
+    int s = r & 63;
+    memset(out, 0, sizeof *out * (size_t)((n + 63) / 64));
+    for (int c = 0; c < n; c++)
+        out[c >> 6] |= ((from[c] >> s) & 1) << (c & 63);
+}
+
+/* Row r of the tableau <- the n-bit bitset in. */
+static void put_row(u64 *t, int n, int r, const u64 *in)
+{
+    u64 *to = t + (size_t)(r >> 6) * n, bit = BIT(r);
+    for (int c = 0; c < n; c++)
+        to[c] = (to[c] & ~bit) | ((0 - ((in[c >> 6] >> (c & 63)) & 1)) & bit);
+}
+
+/* index of the lowest set bit of the bitset v in [lo, hi), or -1 */
+static int lowest_in(const u64 *v, int lo, int hi)
+{
+    for (int w = lo >> 6; lo < hi && w <= (hi - 1) >> 6; w++) {
+        u64 m = w == lo >> 6 ? v[w] & (~(u64)0 << (lo & 63)) : v[w];
+        if (m) {
+            int b = 64 * w + __builtin_ctzll(m);
+            return b < hi ? b : -1;
+        }
+    }
+    return -1;
+}
+
+/* stabilizer._left_key of a row as one int: 2 * its leftmost site, plus 1
+ * when that site has no X bit; 2L + 1 for the identity. */
+static int left_key(const u64 *row, int L)
+{
+    int x = lowest_in(row, 0, L), z = lowest_in(row, L, 2 * L), left;
+    if (x < 0 && z < 0)
+        return 2 * L + 1;
+    left = z < 0 || (x >= 0 && x <= z - L) ? x : z - L;
+    return 2 * left + !has(row, left);
+}
+
+/* S_x <- S_p S_x and D_p <- D_p D_x on R-word row bitsets */
+static void multiply_into(u64 **s, u64 **d, int R, int p, int x)
+{
+    for (int w = 0; w < R; w++) {
+        s[x][w] ^= s[p][w];
+        d[p][w] ^= d[x][w];
+    }
+}
+
+/* stabilizer.canonicalize on an unsigned state, in place: the k stabilizer
+ * rows S and their destabilizers D (pairs in increasing order) go into row
+ * bitsets, the two sweeps run on them with the row-int code's operations in
+ * its order, and they are written back; the logical pairs are untouched.
+ * Each product S_t <- S_p S_t comes with D_p <- D_p D_t. The right sweep
+ * takes a column's candidates before any product and picks the first with
+ * the largest left_key, as Python's max does. Returns 0, -1 when out of
+ * memory, or -2 before it changes anything when the mask names a pair at or
+ * beyond L. */
+int canonicalize(u64 *t, int L, const unsigned char *mask)
+{
+    int n = 2 * L, R = (n + 63) / 64, S = (L + 63) / 64, k = 0;
+    if (L & 63 && load(mask, S - 1) >> (L & 63))
+        return -2;
+    u64 stab[S];
+    load_mask(mask, S, stab);
+    for (int w = 0; w < S; w++)
+        k += __builtin_popcountll(stab[w]);
+    u64 *bits = malloc(sizeof *bits * (2 * (size_t)k * R + 1));
+    u64 **rows = malloc(sizeof *rows * (2 * (size_t)k + 1)), **s = rows, **d = rows + k;
+    int *pair = malloc(sizeof *pair * (3 * (size_t)k + 1)), *cand = pair + k, *done = pair + 2 * k;
+    if (!bits || !rows || !pair) {
+        free(bits);
+        free(rows);
+        free(pair);
+        return -1;
+    }
+    for (int j = 0, i = 0; j < L; j++)
+        if (has(stab, j)) {
+            pair[i] = j;
+            s[i] = bits + (size_t)i * R;
+            d[i] = bits + (size_t)(k + i) * R;
+            get_row(t, n, j, s[i]);
+            get_row(t, n, L + j, d[i]);
+            done[i++] = 0;
+        }
+    /* left sweep: echelon over the columns (site, X) then (site, Z) */
+    for (int site = 0, r = 0; site < L; site++)
+        for (int c = site; c < n; c += L) {
+            int p = r;
+            while (p < k && !has(s[p], c))
+                p++;
+            if (p == k)
+                continue;
+            u64 *a = s[r], *b = d[r];
+            s[r] = s[p], d[r] = d[p], s[p] = a, d[p] = b;
+            for (int j = r + 1; j < k; j++)
+                if (has(s[j], c))
+                    multiply_into(s, d, R, r, j);
+            r++;
+        }
+    /* right sweep: sites right to left; the pivot's right endpoint is pinned */
+    for (int site = L - 1; site >= 0; site--)
+        for (int c = site; c < n; c += L) {
+            int m = 0, p = -1, best = -1;
+            for (int j = 0; j < k; j++)
+                if (!done[j] && has(s[j], c))
+                    cand[m++] = j;
+            for (int i = 0; i < m; i++) {
+                int key = left_key(s[cand[i]], L);
+                if (key > best)
+                    best = key, p = cand[i];
+            }
+            for (int i = 0; i < m; i++)
+                if (cand[i] != p)
+                    multiply_into(s, d, R, p, cand[i]);
+            if (p >= 0)
+                done[p] = 1;
+        }
+    for (int i = 0; i < k; i++) {
+        put_row(t, n, pair[i], s[i]);
+        put_row(t, n, L + pair[i], d[i]);
+    }
+    free(bits);
+    free(rows);
+    free(pair);
+    return 0;
 }
 
 /* polymer._min_energy on the C-contiguous (w, h + 1, 2) bool lattice m:

@@ -17,7 +17,11 @@ bit-identical tableaux. It serves these calls, each behind one dispatch line:
   `random_sites(m)`), and `apply_layer`'s outcome bits. They draw through
   numpy's `bitgen_t` interface from the trajectory's own Generator, with
   numpy's algorithms, so they give the Generator calls' values and leave its
-  bit generator in the same state; each call holds the bit generator's lock.
+  bit generator in the same state; each call holds the bit generator's lock;
+- `stabilizer.canonicalize` on unsigned states (`canonicalize`, on a copy):
+  the row-int code's two sweeps with the same row operations in the same
+  order, on the stabilizer and destabilizer rows copied into row bitsets,
+  so both give the same bits; signed states keep the row-int code.
 It also holds the ground-state DP of `polymer._min_energy`, which reads the
 bool bond lattice and returns the same integer energy as the numpy DP.
 
@@ -183,10 +187,10 @@ def _int64s(values) -> bytes:
 
 
 def _checked(code: int) -> int:
-    """A kernel return value; -2 means a site, column or gate class out of
-    range, and the kernel changed nothing."""
+    """A kernel return value; -2 means a site, column, gate class or
+    stabilizer pair out of range, and the kernel changed nothing."""
     if code == -2:
-        raise ValueError("site, column or gate class out of range for the state")
+        raise ValueError("site, column, gate class or stabilizer pair out of range for the state")
     return code
 
 
@@ -209,6 +213,16 @@ def apply_layer(state, tables, columns, gate_sites, classes, sites, rng=None) ->
         ))
     state._stab = int.from_bytes(mask.raw, "little")
     return n
+
+
+def canonicalize(state):
+    """stabilizer.canonicalize of an unsigned state, on a copy: the kernel
+    makes the row-int code's row operations in its order, so both give the
+    same bits."""
+    out = state.copy()
+    if _checked(LIB.canonicalize(_address(out), out.num_qubits, _mask(out))) < 0:
+        raise MemoryError("row kernel could not allocate its row buffers")
+    return out
 
 
 def draw_layer(rng, n: int, L: int, p: float):

@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import rowkernel
 from .gf2 import bits_to_int_rows, parity_matmul
 from .pauli import PauliString, phase_product
 
@@ -459,9 +460,17 @@ def canonicalize(state: StabilizerState) -> StabilizerState:
     at most two right-endpoints; the generated (signed) group is unchanged and
     the map is a fixed point on its own output. Works on unsigned states.
     Each generator product S_t <- S_p S_t is paired with D_p <- D_p D_t, which
-    keeps the destabilizers dual to the new generators.
+    keeps the destabilizers dual to the new generators. The input is left
+    as it is. With the row kernel built, unsigned states are canonicalized
+    there, with the same row operations in the same order; this row-int code
+    runs for signed states and is the reference. A tableau whose shape or
+    stabilizer mask does not fit L raises ValueError.
     """
     L = state.num_qubits
+    if state._stab >> L or state._cols.shape != (-(-2 * L // 64), 2 * L):
+        raise ValueError("the tableau's shape or stabilizer mask does not fit L")
+    if rowkernel.LIB is not None and state._neg is None:
+        return rowkernel.canonicalize(state)
     rows = state._rows_int()
     slots = state._stabilizer_pairs()
     k = len(slots)
@@ -519,14 +528,20 @@ def canonicalize(state: StabilizerState) -> StabilizerState:
     return StabilizerState._from_basis(L, rows, state._stab, out_neg)
 
 
-def clipped_endpoint_counts(state: StabilizerState) -> Tuple[np.ndarray, np.ndarray]:
-    """(left_counts, right_counts) per site; identity rows are skipped."""
+def _generator_intervals(state: StabilizerState) -> Tuple[np.ndarray, np.ndarray]:
+    """(leftmost, rightmost) site arrays of the non-identity generators, in
+    pair order: the `_row_interval`s, read from the tableau's columns in one
+    numpy pass."""
     L = state.num_qubits
-    left = np.zeros(L, dtype=np.int64)
-    right = np.zeros(L, dtype=np.int64)
-    for row in state.symplectic_int_rows():
-        interval = _row_interval(row, L)
-        if interval is not None:
-            left[interval[0]] += 1
-            right[interval[1]] += 1
-    return left, right
+    bits = state._stabilizer_bits(slice(None))
+    support = bits[:, :L] | bits[:, L:]
+    support = support[support.any(axis=1)]
+    return support.argmax(axis=1), L - 1 - support[:, ::-1].argmax(axis=1)
+
+
+def clipped_endpoint_counts(state: StabilizerState) -> Tuple[np.ndarray, np.ndarray]:
+    """(left_counts, right_counts) per site, from the generators' intervals
+    read off the tableau's columns; identity rows are skipped."""
+    left, right = _generator_intervals(state)
+    L = state.num_qubits
+    return np.bincount(left, minlength=L), np.bincount(right, minlength=L)

@@ -55,6 +55,22 @@ def test_schedule_parsing():
         assert cfg.schedule() == ("random", 3)
     cfg = CircuitConfig(L=8, p=0.1, dephasing_schedule="random_sites(0)")
     assert cfg.schedule() == ("random", 0)
+    # only those two: an unbalanced or padded spelling would get a config
+    # hash of its own for the same schedule
+    for spelling in ("random_sites(3", "random_sites:3)", "random_sites(3))", "random_sites( 3 )",
+                     "random_sites:3\n", "random_sites()", "random_sites:", "random_sites3"):
+        with pytest.raises(ValueError, match="unknown dephasing schedule"):
+            CircuitConfig(L=8, p=0.1, dephasing_schedule=spelling)
+
+
+def test_trajectories_share_one_read_only_times_array():
+    cfg = CircuitConfig(L=8, p=0.2, T=13, seed=4, observables_every=3)
+    first, second = run_trajectory(cfg, 0), run_trajectory(cfg, 1)
+    assert first.times is second.times
+    assert not first.times.flags.writeable
+    assert first.times.dtype == np.int64 and first.times.tolist() == [3, 6, 9, 12, 13]
+    other = run_trajectory(CircuitConfig(L=8, p=0.2, T=13, seed=4, observables_every=4), 0)
+    assert other.times.tolist() == [4, 8, 12, 13]
 
 
 def test_config_dict_round_trip_and_hash():

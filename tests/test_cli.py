@@ -60,6 +60,9 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    for schedule in ("random_sites(3", "random_sites:3)"):
+        assert main(["run", "--L", "6", "--p", "0.2", "--schedule", schedule, "--out", str(out)]) == 2
+        assert "unknown dephasing schedule" in capsys.readouterr().err
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps([1, 2, 3]))
     assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2

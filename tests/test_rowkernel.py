@@ -2,7 +2,8 @@
 
 Each update must leave the same tableau bits and stabilizer mask as the
 numpy path after every operation, and count the same random outcomes; each
-rank must equal the int-row elimination's; each polymer energy must equal
+rank must equal the int-row elimination's; canonicalize must leave the
+same bits as the row-int code; each polymer energy must equal
 the numpy DP's, or fail with the same ValueError. The numpy side runs with
 rowkernel.LIB set to None.
 """
@@ -28,10 +29,25 @@ from negsim.channels import (
     _measure_z_inplace,
     make_rng,
 )
-from negsim.entanglement import Bipartition, entropy, negativity, record_observables
+from negsim.circuit import CircuitConfig, run_trajectory
+from negsim.entanglement import (
+    Bipartition,
+    entropy,
+    length_distribution,
+    negativity,
+    record_observables,
+)
 from negsim.gf2 import bits_to_int_rows, rank_int_rows
 from negsim.polymer import PathQuery, PolymerLattice
-from negsim.stabilizer import StabilizerState, product_state, validate
+from negsim.stabilizer import (
+    StabilizerState,
+    _left_key,
+    _row_interval,
+    canonicalize,
+    clipped_endpoint_counts,
+    product_state,
+    validate,
+)
 
 HAS_CC = shutil.which("cc") is not None
 needs_kernel = pytest.mark.skipif(rowkernel.LIB is None, reason="no compiled row kernel")
@@ -236,6 +252,106 @@ def test_kernel_rejects_sites_out_of_range_and_changes_nothing():
         with pytest.raises(ValueError):
             call()
         assert state._stab == before._stab and np.array_equal(state._cols, before._cols)
+
+
+CANON_SIZES = [2, 4, 34, 64, 66, 120, 130]
+
+
+def runner_states(L):
+    """Unsigned states on L sites: k = 0, k = L, and the runner's final
+    states under four schedules at two measurement rates."""
+    mixed = product_state(L, signed=False)
+    mixed._stab = 0  # every pair (Z_j, X_j) a logical pair
+    states = [mixed, product_state(L, signed=False)]
+    for schedule in ("boundary_even_steps", "random_sites(0)", "random_sites(2)", f"random_sites({L})"):
+        for p in (0.1, 0.3):
+            cfg = CircuitConfig(L=L, p=p, T=2 * L, seed=L, dephasing_schedule=schedule,
+                                observables_every=2 * L)
+            states.append(run_trajectory(cfg, keep_final_state=True).final_state)
+    return states
+
+
+def same_tableau(a, b):
+    return a._stab == b._stab and np.array_equal(a._cols, b._cols)
+
+
+@needs_kernel
+@pytest.mark.parametrize("L", CANON_SIZES)
+def test_canonicalize_matches_row_int_code_bit_for_bit(monkeypatch, L):
+    ks = set()
+    for state in runner_states(L):
+        got = canonicalize(state)
+        assert same_tableau(got, without_kernel(monkeypatch, canonicalize, state))
+        ks.add(state.num_generators)
+    assert {0, L} < ks  # mixed states too
+
+
+@pytest.mark.parametrize("L", CANON_SIZES)
+def test_canonicalize_is_idempotent_and_leaves_its_input(both_paths, L):
+    for state in runner_states(L):
+        before = state.copy()
+        once = canonicalize(state)
+        assert same_tableau(state, before)
+        assert same_tableau(canonicalize(once), once)
+        assert validate(once) is None
+        # the generators leave the sweeps in strictly increasing left key,
+        # so the right sweep's pivot is its only candidate with the largest
+        keys = [_left_key(row, L) for row in once.symplectic_int_rows()]
+        assert keys == sorted(set(keys))
+
+
+def interval_counts(state):
+    """Length, left-endpoint and right-endpoint counts from `_row_interval`
+    on each generator row: the per-row reference."""
+    L = state.num_qubits
+    lengths, left, right = np.zeros(L + 1, int), np.zeros(L, int), np.zeros(L, int)
+    for row in state.symplectic_int_rows():
+        interval = _row_interval(row, L)
+        if interval is not None:
+            lengths[interval[1] - interval[0] + 1] += 1
+            left[interval[0]] += 1
+            right[interval[1]] += 1
+    return lengths, left, right
+
+
+@pytest.mark.parametrize("L", CANON_SIZES)
+def test_intervals_from_the_columns_match_row_intervals(both_paths, L):
+    for state in runner_states(L):
+        canon = canonicalize(state)
+        lengths, left, right = interval_counts(canon)
+        got = length_distribution(state)
+        assert got.dtype == np.int64 and got.tolist() == lengths.tolist()
+        for raw in (canon, state):  # the counts need no clipped gauge
+            lengths, left, right = interval_counts(raw)
+            got_left, got_right = clipped_endpoint_counts(raw)
+            assert got_left.tolist() == left.tolist() and got_right.tolist() == right.tolist()
+
+
+def test_canonicalize_rejects_a_malformed_tableau(both_paths):
+    state = random_state(70, 140, seed=3)
+    stray = state.copy()
+    stray._stab |= 1 << 70  # a stabilizer pair past the chain
+    short = state.copy()
+    short._cols = state._cols[:, :-1].copy()
+    for bad in (stray, short):
+        with pytest.raises(ValueError, match="does not fit L"):
+            canonicalize(bad)
+        with pytest.raises(ValueError, match="does not fit L"):
+            length_distribution(bad)
+
+
+@needs_kernel
+def test_kernel_canonicalize_checks_layout_and_mask():
+    state = random_state(70, 140, seed=3)
+    before = state.copy()
+    bad = state.copy()
+    bad._cols = state._cols.view(np.int64)
+    with pytest.raises(ValueError, match="uint64"):
+        canonicalize(bad)
+    # the C side refuses a mask with a pair at or past L before it writes
+    mask = (state._stab | 1 << 70).to_bytes(16, "little")
+    assert rowkernel.LIB.canonicalize(rowkernel._address(state), 70, mask) == -2
+    assert same_tableau(state, before)
 
 
 def polymer_dp(lat, q):
