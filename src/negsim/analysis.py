@@ -426,9 +426,13 @@ def _pool(threads: int):
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Monte Carlo over every (L, p) cell on one shared process pool; logs
-    one INFO line per cell."""
+    one INFO line per cell with the elapsed time and an ETA. The ETA runs
+    the remaining cells at the finished cells' rate per unit of work,
+    samples x L x steps."""
     configs = spec.configs()
+    work = [cfg.samples * cfg.L * cfg.steps for cfg in configs]
     cells = []
+    sweep_start = time.perf_counter()
     with _pool(threads) as pool:
         for n, cfg in enumerate(configs, 1):
             start = time.perf_counter()
@@ -443,10 +447,14 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
                     late_stderr=mc.late_stderr,
                 )
             )
+            now = time.perf_counter()
+            elapsed = now - sweep_start
+            eta = elapsed * sum(work[n:]) / sum(work[:n])
             log.info(
-                "cell %d/%d L=%d p=%.4g: E=%.4g I=%.4g stationary=%s (%.1f s)",
+                "cell %d/%d L=%d p=%.4g: E=%.4g I=%.4g stationary=%s (%.1f s; "
+                "elapsed %.1f s, eta %.1f s)",
                 n, len(configs), cfg.L, cfg.p, mc.late_mean["E"], mc.late_mean["I"],
-                mc.stationarity.passed, time.perf_counter() - start,
+                mc.stationarity.passed, now - start, elapsed, eta,
             )
     return SweepResult(spec, cells)
 

@@ -2,12 +2,13 @@
 and the single-site dephasing channel.
 
 Clifford sampling follows the transvection construction for uniform Sp(2n,2)
-elements (index -> matrix bijection), so uniformity over the 11,520 two-qubit
-Cliffords mod phase reduces to a uniform index in [0, 720) plus four uniform
-sign bits. Conjugation acts on the column-packed tableau as a 4x4 GF(2) map
-per gate on the four columns (x_i, z_i, x_j, z_j), vectorized over a whole
-brickwork layer; signed states also fold in the sign flips of the gate's
-16-entry conjugation table.
+elements (Koenig and Smolin, J. Math. Phys. 55, 122202 (2014)): an index ->
+matrix bijection, run here on int bitmasks. Uniformity over the 11,520
+two-qubit Cliffords mod phase thus reduces to a uniform index in [0, 720)
+plus four uniform sign bits. Conjugation acts on the column-packed tableau
+as a 4x4 GF(2) map per gate on the four columns (x_i, z_i, x_j, z_j),
+vectorized over a whole brickwork layer; signed states also fold in the
+sign flips of the gate's 16-entry conjugation table.
 
 Measurement and dephasing read the rows that anticommute with Z_site from
 one tableau column, so each is a few masked XORs and no linear solve.
@@ -15,9 +16,10 @@ one tableau column, so each is a few masked XORs and no linear solve.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -67,70 +69,83 @@ def trajectory_rng(seed: int, trajectory_index: int) -> Rng:
 
 
 def symplectic_group_order(n: int) -> int:
+    """|Sp(2n, 2)| = 2^(n^2) prod_j (4^j - 1); n >= 1."""
+    n = operator.index(n)  # numpy ints too, as Python ints that cannot overflow
+    if n < 1:
+        raise ValueError(f"need n >= 1 qubits, got {n}")
     order = 1 << (n * n)
     for j in range(1, n + 1):
         order *= (1 << (2 * j)) - 1
     return order
 
 
-def _int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
+# Vectors are ints: bit j is coordinate j in the order (x1, z1, x2, z2, ...).
 
 
-def _symp_inner(v: np.ndarray, w: np.ndarray) -> int:
-    # pairing on adjacent columns (x1,z1),(x2,z2),...
-    return int(np.sum(v[0::2] & w[1::2]) + np.sum(v[1::2] & w[0::2])) & 1
+def _symp_inner(v: int, w: int) -> int:
+    # pairing on adjacent bits (x1,z1),(x2,z2),...: the even bits of
+    # v & (w >> 1) and (v >> 1) & w hold x_i z_i' and z_i x_i'
+    width = (v | w).bit_length() + 1
+    even = ((1 << (width & ~1)) - 1) // 3  # 0b...0101
+    return (((v & (w >> 1)) ^ ((v >> 1) & w)) & even).bit_count() & 1
 
 
-def _transvection(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if _symp_inner(k, v):
-        return (v + k) % 2
-    return v.copy()
+def _transvection(k: int, v: int) -> int:
+    return v ^ k if _symp_inner(k, v) else v
 
 
-def _find_transvection(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _find_transvection(x: int, y: int, n: int) -> Tuple[int, int]:
     """Two vectors h0, h1 with T_h0 T_h1 x = y (either may be zero)."""
-    out = np.zeros((2, len(x)), dtype=np.uint8)
-    if np.array_equal(x, y):
-        return out
-    if _symp_inner(x, y) == 1:
-        out[0] = (x + y) % 2
-        return out
-    n = len(x) // 2
-    z = np.zeros(len(x), dtype=np.uint8)
-    for i in range(n):  # pair where both have content
-        a, b = 2 * i, 2 * i + 1
-        if (x[a] or x[b]) and (y[a] or y[b]):
-            z[a] = (x[a] + y[a]) % 2
-            z[b] = (x[b] + y[b]) % 2
-            if z[a] == 0 and z[b] == 0:
-                z[b] = 1
-                if x[a] != x[b]:
-                    z[a] = 1
-            out[0] = (x + z) % 2
-            out[1] = (y + z) % 2
-            return out
-    for i in range(n):  # pair where only x has content
-        a, b = 2 * i, 2 * i + 1
-        if (x[a] or x[b]) and not (y[a] or y[b]):
-            if x[a] == x[b]:
-                z[b] = 1
-            else:
-                z[b] = x[a]
-                z[a] = x[b]
+    if x == y:
+        return 0, 0
+    if _symp_inner(x, y):
+        return x ^ y, 0
+    pairs = [((x >> (2 * i)) & 3, (y >> (2 * i)) & 3) for i in range(n)]
+    for i, (xp, yp) in enumerate(pairs):  # pair where both have content
+        if xp and yp:
+            zp = xp ^ yp
+            if zp == 0:
+                zp = 3 if xp in (1, 2) else 2
+            z = zp << (2 * i)
+            return x ^ z, y ^ z
+    z = 0
+    for i, (xp, yp) in enumerate(pairs):  # pair where only x has content
+        if xp and not yp:
+            z |= (2 if xp & 1 else 1) << (2 * i)
             break
-    for i in range(n):  # pair where only y has content
-        a, b = 2 * i, 2 * i + 1
-        if (y[a] or y[b]) and not (x[a] or x[b]):
-            if y[a] == y[b]:
-                z[b] = 1
-            else:
-                z[b] = y[a]
-                z[a] = y[b]
+    for i, (xp, yp) in enumerate(pairs):  # pair where only y has content
+        if yp and not xp:
+            z |= (2 if yp & 1 else 1) << (2 * i)
             break
-    out[0] = (x + z) % 2
-    out[1] = (y + z) % 2
-    return out
+    return x ^ z, y ^ z
+
+
+def _symplectic_rows(index: int, n: int) -> List[int]:
+    """Rows of symplectic_matrix(index, n) as ints, for a valid index.
+
+    Index digits are read from n qubits down; the rows are built from one
+    qubit up, each level embedding the last one on its lower-right block.
+    """
+    levels = []
+    for m in range(n, 0, -1):
+        nn = 2 * m
+        s = (1 << nn) - 1
+        f1 = (index % s) + 1
+        index //= s
+        t0, t1 = _find_transvection(1, f1, m)
+        bits = index % (1 << (nn - 1))
+        index //= 1 << (nn - 1)
+        eprime = 1 | (bits >> 1) << 2
+        h0 = _transvection(t0, _transvection(t1, eprime))
+        if bits & 1:
+            f1 = 0  # the final T_f1 degenerates to the identity
+        levels.append((t1, t0, h0, f1))
+    rows: List[int] = []
+    for transvections in reversed(levels):
+        rows = [1, 2] + [row << 2 for row in rows]
+        for k in transvections:
+            rows = [_transvection(k, row) for row in rows]
+    return rows
 
 
 def symplectic_matrix(index: int, n: int) -> np.ndarray:
@@ -138,35 +153,12 @@ def symplectic_matrix(index: int, n: int) -> np.ndarray:
 
     Row j is the image of basis vector j in column order (x1,z1,x2,z2,...).
     """
-    nn = 2 * n
-    s = (1 << nn) - 1
-    f1 = _int_to_bits((index % s) + 1, nn)
-    index //= s
-    e1 = np.zeros(nn, dtype=np.uint8)
-    e1[0] = 1
-    t = _find_transvection(e1, f1)
-    bits = _int_to_bits(index % (1 << (nn - 1)), nn - 1)
-    index //= 1 << (nn - 1)
-    eprime = e1.copy()
-    for j in range(2, nn):
-        eprime[j] = bits[j - 1]
-    h0 = _transvection(t[1], eprime)
-    h0 = _transvection(t[0], h0)
-    if bits[0] == 1:
-        f1 = f1 * 0  # the final T_f1 degenerates to the identity
-    if n == 1:
-        g = np.eye(2, dtype=np.uint8)
-    else:
-        g = np.zeros((nn, nn), dtype=np.uint8)
-        g[0, 0] = g[1, 1] = 1
-        g[2:, 2:] = symplectic_matrix(index, n - 1)
-    for j in range(nn):
-        row = _transvection(t[1], g[j])
-        row = _transvection(t[0], row)
-        row = _transvection(h0, row)
-        row = _transvection(f1, row)
-        g[j] = row
-    return g
+    index, n = operator.index(index), operator.index(n)
+    order = symplectic_group_order(n)
+    if not 0 <= index < order:
+        raise ValueError(f"index {index} outside [0, {order}) for n={n}")
+    rows = _symplectic_rows(index, n)
+    return np.array([[(row >> j) & 1 for j in range(2 * n)] for row in rows], dtype=np.uint8)
 
 
 # -- gates ------------------------------------------------------------------
@@ -235,14 +227,10 @@ def _conjugation_flips(gate: CliffordGate) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _symplectic_images_table() -> np.ndarray:
     """(720, 4, 2) masks: for each class, (x_mask, z_mask) of each image."""
-    table = np.zeros((720, 4, 2), dtype=np.uint8)
-    for idx in range(720):
-        m = symplectic_matrix(idx, 2)
-        for row in range(4):
-            x_mask = m[row, 0] | (m[row, 2] << 1)
-            z_mask = m[row, 1] | (m[row, 3] << 1)
-            table[idx, row] = (x_mask, z_mask)
-    return table
+    rows = np.array([_symplectic_rows(idx, 2) for idx in range(720)], dtype=np.uint8)
+    x_mask = rows & 1 | (rows >> 1) & 2
+    z_mask = (rows >> 1) & 1 | (rows >> 2) & 2
+    return np.stack([x_mask, z_mask], axis=-1)
 
 
 @lru_cache(maxsize=20000)

@@ -1,6 +1,7 @@
 """Fits, finite-size collapse, sweep bookkeeping, and figure pipelines."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,9 @@ def test_run_sweep_logs_one_line_per_cell(caplog):
     assert len(records) == 4
     assert records[0].getMessage().startswith("cell 1/4 L=4 p=0.1:")
     assert all(r.levelno == logging.INFO for r in records)
+    etas = [re.search(r"elapsed [0-9.]+ s, eta ([0-9.]+) s\)$", r.getMessage()) for r in records]
+    assert all(etas)
+    assert float(etas[-1].group(1)) == 0.0
 
 
 def test_run_sweep_and_csv_round_trip(tmp_path):

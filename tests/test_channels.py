@@ -1,18 +1,21 @@
 """Gates, sampling uniformity, measurement cases, and dephasing."""
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
 from negsim.channels import (
     CliffordGate,
     _apply_layer,
+    _class_tables,
     _conjugation_flips,
     _dephase_inplace,
     _gate_from_class,
     _gate_maps,
     _measure_inplace,
     _measure_z_inplace,
-    _symp_inner,
     _symplectic_images_table,
     apply_clifford,
     cnot_gate,
@@ -59,6 +62,12 @@ def random_mixed_state(L, seed, ops=40):
 def test_group_orders():
     assert symplectic_group_order(1) == 6
     assert symplectic_group_order(2) == 720
+    assert symplectic_group_order(3) == 1451520
+
+
+def symplectic_form(v, w):
+    """Form on uint8 rows in column order (x1,z1,x2,z2,...)."""
+    return int(np.sum(v[0::2] & w[1::2]) + np.sum(v[1::2] & w[0::2])) & 1
 
 
 def test_symplectic_matrices_preserve_form_and_are_distinct():
@@ -71,9 +80,72 @@ def test_symplectic_matrices_preserve_form_and_are_distinct():
             seen.add(m.tobytes())
             for a in range(2 * n):
                 for b in range(a + 1, 2 * n):
-                    want = _symp_inner(basis[a], basis[b])
-                    assert _symp_inner(m[a], m[b]) == want
+                    want = symplectic_form(basis[a], basis[b])
+                    assert symplectic_form(m[a], m[b]) == want
         assert len(seen) == order
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_class_tables_bytes_are_pinned():
+    # The tables fix every gate a seeded run draws, so the goldens hang on
+    # these bytes.
+    assert sha256(_class_tables().tobytes()) == (
+        "0f330bb238a664d252eb1a0dc05924f59f507c3548fa67f6f4af98976bb8a889"
+    )
+    assert sha256(_symplectic_images_table().tobytes()) == (
+        "fcec2e608d40be2691b3385c97c441c839f79ab524d6375cda2777d5c3d136d7"
+    )
+
+
+def test_symplectic_matrix_bytes_are_pinned():
+    one = b"".join(symplectic_matrix(i, 1).tobytes() for i in range(6))
+    assert sha256(one) == "22c92de046d7328dca127db9fc8909fc74f0abdf925109eeefc6f7941b5798bc"
+    three = b"".join(symplectic_matrix(i, 3).tobytes() for i in range(0, 1451520, 97))
+    assert sha256(three) == "2978e09b88ad656695702f150b32533d9d4a7918cdd100173b6025bbb5ba9674"
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_symplectic_functions_reject_bad_qubit_counts(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        symplectic_group_order(n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        symplectic_matrix(0, n)
+
+
+@pytest.mark.parametrize("index, n", [(6, 1), (-1, 2), (720, 2), (-1, 1), (1451520, 3)])
+def test_symplectic_matrix_rejects_index_outside_group(index, n):
+    with pytest.raises(ValueError, match="outside"):
+        symplectic_matrix(index, n)
+
+
+def test_symplectic_matrix_accepts_both_ends_of_range_and_numpy_ints():
+    for n in (1, 2, 3):
+        last = symplectic_group_order(n) - 1
+        for idx in (0, last):
+            m = symplectic_matrix(idx, n)
+            assert m.shape == (2 * n, 2 * n) and m.dtype == np.uint8
+            assert np.array_equal(symplectic_matrix(np.int64(idx), np.int64(n)), m)
+    assert symplectic_group_order(np.int64(8)) == symplectic_group_order(8)
+    with pytest.raises(TypeError):
+        symplectic_matrix(1.0, 1)
+
+
+def test_symplectic_matrix_takes_no_stack_frame_per_qubit():
+    # a frame per qubit overflows the stack near n = 1000; a tight limit shows it at n = 60
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        m = symplectic_matrix(0, 60).astype(np.int64)
+    finally:
+        sys.setrecursionlimit(limit)
+    form = np.kron(np.eye(60, dtype=np.int64), [[0, 1], [1, 0]])
+    assert np.array_equal(m @ form @ m.T % 2, form)
 
 
 def test_every_class_yields_a_valid_gate():

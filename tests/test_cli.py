@@ -146,6 +146,22 @@ def test_sweep_verbose_logs_each_cell_to_stderr(tmp_path):
     assert "cell" not in proc.stdout
 
 
+def test_python_dash_m_negsim_returns_the_exit_code(tmp_path):
+    src = str(Path(negsim.analysis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = [sys.executable, "-m", "negsim", "run", "--p", "0.2", "--T", "4", "--seed", "1",
+           "--samples", "1"]
+    out = tmp_path / "run.csv"
+    ok = subprocess.run(run + ["--L", "4", "--out", str(out)], capture_output=True, text=True,
+                        env=env)
+    assert ok.returncode == 0, ok.stderr
+    assert out.read_text().startswith("# config_hash=")
+    bad = subprocess.run(run + ["--L", "3", "--out", str(tmp_path / "bad.csv")],
+                         capture_output=True, text=True, env=env)
+    assert bad.returncode == 2
+    assert "error: L must be even" in bad.stderr
+
+
 def test_fit_missing_file_exits_2(tmp_path, capsys):
     assert main(["fit", "--in", str(tmp_path / "nope.csv"), "--p", "0.1"]) == 2
     assert "error:" in capsys.readouterr().err
