@@ -226,11 +226,14 @@ def _conjugation_flips(gate: CliffordGate) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _symplectic_images_table() -> np.ndarray:
-    """(720, 4, 2) masks: for each class, (x_mask, z_mask) of each image."""
+    """(720, 4, 2) masks: for each class, (x_mask, z_mask) of each image.
+    Read-only, since every caller gets this one array."""
     rows = np.array([_symplectic_rows(idx, 2) for idx in range(720)], dtype=np.uint8)
     x_mask = rows & 1 | (rows >> 1) & 2
     z_mask = (rows >> 1) & 1 | (rows >> 2) & 2
-    return np.stack([x_mask, z_mask], axis=-1)
+    table = np.stack([x_mask, z_mask], axis=-1)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=20000)
@@ -257,8 +260,11 @@ def _gate_maps(masks: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _class_tables() -> np.ndarray:
-    """The sign-free gate maps of all 720 classes, shape (720, 4, 4)."""
-    return _gate_maps(_symplectic_images_table())
+    """The sign-free gate maps of all 720 classes, shape (720, 4, 4).
+    Read-only, since every caller gets this one array."""
+    tables = _gate_maps(_symplectic_images_table())
+    tables.setflags(write=False)
+    return tables
 
 
 def sample_two_qubit_clifford(rng: Rng) -> CliffordGate:

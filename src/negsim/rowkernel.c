@@ -11,8 +11,11 @@
  * row operations of the numpy code it stands in for
  * (channels._dephase_inplace, channels._apply_tables_inplace and
  * stabilizer._collapse_rows), in the same order, so both leave the same
- * bits. record_ranks, the only rank call, reads it: the three ranks behind
- * every entropy, negativity and record of negsim.entanglement.
+ * bits. A measurement's or a dephasing's row products take one pass over
+ * the columns (update_rows): per block of 64 columns the source row's bits
+ * are read once, then each word holding a cleared or target row is
+ * updated. record_ranks, the only rank call, reads the tableau: the three
+ * ranks behind every entropy, negativity and record of negsim.entanglement.
  * canonicalize runs stabilizer.canonicalize's two sweeps on an unsigned
  * state with the row-int code's row operations in its order. Nothing here
  * reads or writes a sign. A site, column, gate class or stabilizer pair out
@@ -68,30 +71,27 @@ static int lowest(const u64 *v, int W)
     return -1;
 }
 
-WIDE static void clear_row(u64 *t, int n, int r)
-{
-    u64 *row = t + (size_t)(r >> 6) * n, keep = ~BIT(r);
-    for (int c = 0; c < n; c++)
-        row[c] &= keep;
-}
-
-/* row r <- the row whose only entry is column c */
-static void unit_row(u64 *t, int n, int r, int c)
-{
-    clear_row(t, n, r);
-    t[(size_t)(r >> 6) * n + c] |= BIT(r);
-}
-
-/* row x ^= row src for every row x set in the W-word mask targets */
-WIDE static void xor_row(u64 *t, int n, int W, int src, const u64 *targets)
+/* Rows set in the W-word mask clear <- 0, then row x ^= row src for every
+ * row x set in targets: one pass over the n columns, 64 at a time, reading
+ * src's bits of a block before writing any row, so src may be cleared.
+ * clear may be NULL. */
+WIDE static void update_rows(u64 *t, int n, int W, int src, const u64 *targets,
+                             const u64 *clear)
 {
     const u64 *from = t + (size_t)(src >> 6) * n;
     int s = src & 63;
-    for (int w = 0; w < W; w++) {
-        u64 m = targets[w], *row = t + (size_t)w * n;
-        if (m)
-            for (int c = 0; c < n; c++)
-                row[c] ^= m & (0 - ((from[c] >> s) & 1));
+    u64 bits[64];
+    for (int c0 = 0; c0 < n; c0 += 64) {
+        int m = n - c0 < 64 ? n - c0 : 64;
+        for (int c = 0; c < m; c++)
+            bits[c] = 0 - ((from[c0 + c] >> s) & 1);
+        for (int w = 0; w < W; w++) {
+            u64 x = targets[w], keep = clear ? ~clear[w] : ~(u64)0;
+            u64 *row = t + (size_t)w * n + c0;
+            if (x | ~keep)
+                for (int c = 0; c < m; c++)
+                    row[c] = (row[c] & keep) ^ (x & bits[c]);
+        }
     }
 }
 
@@ -114,41 +114,37 @@ static void load_mask(const unsigned char *bytes, int S, u64 *stab)
  * stabilizer and its bit is set in stab. Returns 0 in case (a). */
 static int measure(u64 *t, int L, u64 *stab, int site)
 {
-    int n = 2 * L, W = (n + 63) / 64, S = (L + 63) / 64, p = -1, q = -1;
-    u64 anti[W];
+    int n = 2 * L, W = (n + 63) / 64, S = (L + 63) / 64, src = -1;
+    u64 anti[W], clear[W];
     column(t, n, W, site, anti);
-    for (int w = 0; w < S && p < 0; w++) {
+    for (int w = 0; w < S && src < 0; w++) { /* (b): the lowest stabilizer hit */
         u64 hit = anti[w] & stab[w];
         if (hit)
-            p = 64 * w + __builtin_ctzll(hit);
+            src = 64 * w + __builtin_ctzll(hit);
     }
-    if (p >= 0) { /* (b): S_p into the other anticommuting rows and into D_p */
-        clear_row(t, n, L + p);
-        anti[p >> 6] &= ~BIT(p);
-        anti[(L + p) >> 6] |= BIT(L + p);
-        xor_row(t, n, W, p, anti);
-        unit_row(t, n, p, L + site);
-        return 1;
-    }
-    for (int w = 0; w < W && q < 0; w++) /* lowest anticommuting logical row */
-        for (u64 m = anti[w]; m && q < 0; m &= m - 1) {
+    for (int w = 0; w < W && src < 0; w++) /* (c): the lowest logical row hit */
+        for (u64 m = anti[w]; m && src < 0; m &= m - 1) {
             int r = 64 * w + __builtin_ctzll(m);
             if (!has(stab, r < L ? r : r - L))
-                q = r;
+                src = r;
         }
-    if (q < 0) /* (a): deterministic, nothing changes */
+    if (src < 0) /* (a): deterministic, nothing changes */
         return 0;
-    int pair = q % L; /* (c) */
-    anti[q >> 6] &= ~BIT(q);
-    if (q == pair) {
-        clear_row(t, n, L + pair);
-        anti[(L + pair) >> 6] |= BIT(L + pair);
-    } else {
-        anti[pair >> 6] &= ~BIT(pair);
+    /* Row src goes into the anticommuting rows outside its pair p. When src
+     * is the pair's first row (always in case b) it also replaces the
+     * second. Then the first row becomes Z_site. */
+    int p = src % L;
+    memset(clear, 0, sizeof clear);
+    anti[src >> 6] &= ~BIT(src);
+    anti[p >> 6] &= ~BIT(p);
+    clear[p >> 6] |= BIT(p);
+    if (src == p) {
+        anti[(L + p) >> 6] |= BIT(L + p);
+        clear[(L + p) >> 6] |= BIT(L + p);
     }
-    xor_row(t, n, W, q, anti);
-    unit_row(t, n, pair, L + site);
-    stab[pair >> 6] |= BIT(pair);
+    update_rows(t, n, W, src, anti, clear);
+    t[(size_t)(p >> 6) * n + L + site] |= BIT(p);
+    stab[p >> 6] |= BIT(p);
     return 1;
 }
 
@@ -170,7 +166,7 @@ WIDE static void dephase_column(u64 *t, int L, u64 *stab, int col)
     others[p >> 6] &= ~BIT(p);
     if (lowest(others, S) < 0)
         return;
-    xor_row(t, n, W, p, others);
+    update_rows(t, n, W, p, others, NULL);
     for (int w = 0; w < S; w++)
         for (u64 m = others[w]; m; m &= m - 1) {
             int r = L + 64 * w + __builtin_ctzll(m);

@@ -9,6 +9,7 @@ import pytest
 from negsim.channels import (
     CliffordGate,
     _apply_layer,
+    _apply_tables_inplace,
     _class_tables,
     _conjugation_flips,
     _dephase_inplace,
@@ -98,6 +99,23 @@ def test_class_tables_bytes_are_pinned():
     assert sha256(_symplectic_images_table().tobytes()) == (
         "fcec2e608d40be2691b3385c97c441c839f79ab524d6375cda2777d5c3d136d7"
     )
+
+
+def test_class_tables_are_read_only(both_paths):
+    # every caller gets the one cached array, so a stray write would change
+    # every gate that a later seeded run draws
+    for table in (_class_tables(), _symplectic_images_table()):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] ^= 1
+    # the layer update still takes them, on either path
+    cols, sym = np.array([0, 2]), np.array([5, 611])
+    state = product_state(4, signed=False)
+    twin = state.copy()
+    _apply_layer(state, [], (cols, sym, None), [])
+    _apply_tables_inplace(twin, _class_tables()[sym], cols, cols + 1)
+    assert np.array_equal(state._cols, twin._cols)
+    assert state != product_state(4, signed=False)
 
 
 def test_symplectic_matrix_bytes_are_pinned():

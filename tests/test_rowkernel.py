@@ -26,7 +26,9 @@ from negsim.channels import (
     _class_tables,
     _dephase_inplace,
     _draw_outcomes,
+    _gate_maps,
     _measure_z_inplace,
+    cnot_gate,
     make_rng,
 )
 from negsim.circuit import CircuitConfig, run_trajectory
@@ -171,7 +173,7 @@ def per_op_numpy(state, columns, gates, sites):
 @needs_kernel
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])
 @pytest.mark.parametrize("schedule", ["boundary", "random_sites"])
-@pytest.mark.parametrize("L", [2, 32, 33, 64, 65, 160])
+@pytest.mark.parametrize("L", [2, 32, 33, 64, 65, 97, 130, 160, 280])
 def test_layer_call_matches_per_op_numpy_sequence(monkeypatch, L, schedule, p):
     rng = make_rng(7 * L + int(10 * p))
     fast = product_state(L, signed=False)
@@ -181,6 +183,53 @@ def test_layer_call_matches_per_op_numpy_sequence(monkeypatch, L, schedule, p):
         assert fast._stab == slow._stab, t
         assert np.array_equal(fast._cols, slow._cols), t
     assert validate(fast) is None
+
+
+def cnot_scrambled(L, seed):
+    """The maximally mixed state (k = 0) after L layers of CNOTs on random
+    neighbour pairs in random directions: each pair's first row stays
+    Z-type and its second X-type, both spread over many sites."""
+    rng = make_rng(seed)
+    state = product_state(L, signed=False)
+    for column in range(L, 2 * L):
+        _dephase_inplace(state, column)
+    cnot = np.array([[(g.x_mask, g.z_mask) for g in cnot_gate().images]], dtype=np.uint8)
+    for t in range(L):
+        cols = np.arange(t % 2, L - 1, 2)
+        cols = cols[rng.random(cols.size) < 0.5]
+        flip = rng.random(cols.size) < 0.5
+        maps = np.repeat(_gate_maps(cnot), cols.size, axis=0)
+        _apply_tables_inplace(state, maps, np.where(flip, cols + 1, cols), np.where(flip, cols, cols + 1))
+    return state
+
+
+@needs_kernel
+@pytest.mark.parametrize("L", [65, 97, 130])
+@pytest.mark.parametrize("first", [False, True], ids=["q=L+pair", "q=pair"])
+def test_appended_measurements_across_words_match_numpy(monkeypatch, L, first):
+    # case (c) with rows pair and L + pair in different 64-bit words. Z_site
+    # anticommutes only with X-type rows: after CNOTs those are second rows
+    # (q = L + pair); a Hadamard on every site makes them first rows
+    # (q = pair), so row L + pair is cleared and takes row q
+    state = cnot_scrambled(L, seed=L)
+    if first:
+        state._cols = np.roll(state._cols, L, axis=1)
+    twin = state.copy()
+    seen = 0  # case (c) measurements with two or more other target rows
+    for site in make_rng(L).permutation(L).tolist():
+        anti = int.from_bytes(state._cols[:, site].tobytes(), "little")
+        free = ((1 << L) - 1) & ~state._stab
+        hit = anti & (free | free << L)
+        assert not anti & state._stab  # never case (b)
+        if hit:
+            q = (hit & -hit).bit_length() - 1
+            assert (q < L) == first and (q % L) >> 6 != (L + q % L) >> 6
+            seen += (anti & ~(1 << q | 1 << (q % L))).bit_count() > 1
+        assert _apply_layer(state, (), None, [site]) == without_kernel(
+            monkeypatch, _apply_layer, twin, (), None, [site]
+        )
+        assert state._stab == twin._stab and np.array_equal(state._cols, twin._cols), site
+    assert seen >= L // 4 and validate(state) is None
 
 
 @pytest.mark.parametrize("L", [2, 33, 64, 160])
