@@ -20,7 +20,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import CircuitConfig, _config_line, _write_lines, monte_carlo, run_trajectory
+from .circuit import (
+    CircuitConfig,
+    _check_field_types,
+    _config_line,
+    _write_lines,
+    monte_carlo,
+    run_trajectory,
+)
 from .entanglement import length_distribution
 
 log = logging.getLogger(__name__)
@@ -352,6 +359,7 @@ class SweepSpec:
     observables_every: int = 1
 
     def __post_init__(self):
+        _check_field_types(self)
         if len(self.L_values) == 0 or len(self.p_values) == 0:
             raise ValueError("L_values and p_values must be non-empty")
         self.configs()  # validate every cell eagerly

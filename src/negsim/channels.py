@@ -324,7 +324,7 @@ def _apply_layer(state, columns, gates, sites, rng: Optional[Rng] = None) -> int
     rng it draws their bits from it afterwards (`_draw_outcomes(rng, n)`).
     The state must be unsigned: the gates' sign bits are not applied and the
     outcome bits are dropped. The runner makes one call between two results
-    it needs, and `entanglement._traced` one to trace sites out.
+    it needs, and `entanglement._observables` one to trace sites out.
 
     A column, gate site, gate class or measured site out of range raises
     ValueError before anything changes or is drawn, on either path.
@@ -343,7 +343,7 @@ def _apply_layer(state, columns, gates, sites, rng: Optional[Rng] = None) -> int
         _dephase_inplace(state, column)
     if gates is not None:
         _apply_tables_inplace(state, tables[sym], cols, cols + 1)
-    n = sum(bool(_measure_z_inplace(state, site, None, need_outcome=False)) for site in sites)
+    n = sum(_measure_z_inplace(state, site) for site in sites)
     if rng is not None:
         _draw_outcomes(rng, n)
     return n
@@ -382,7 +382,7 @@ def measure_pauli(
     if h.is_identity:
         raise ValueError("cannot measure the identity string")
     out = state.copy()
-    outcome = _measure_inplace(out, h, rng, need_outcome=True)
+    outcome = _measure_inplace(out, h, rng)
     return outcome, out
 
 
@@ -394,62 +394,42 @@ def _column_int(state: StabilizerState, column: int) -> int:
     return int.from_bytes(state._cols[:, column].tobytes(), "little")
 
 
-def _measure_inplace(
-    state: StabilizerState, h: PauliString, rng: Rng, need_outcome: bool
-) -> Optional[int]:
+def _measure_inplace(state: StabilizerState, h: PauliString, rng: Optional[Rng]) -> int:
     """Measure any Pauli h."""
     L = state.num_qubits
     row = h.x_mask | (h.z_mask << L)
-    anti = _anticommuting_rows(state._cols, row, L)
-    return _collapse(state, anti, row, h.sign, rng, need_outcome)
+    return _collapse(state, _anticommuting_rows(state._cols, row, L), row, h.sign, rng)
 
 
-def _measure_z_inplace(
-    state: StabilizerState, site: int, rng: Optional[Rng], need_outcome: bool
-) -> Optional[int]:
-    """Measure h = Z_site: the anticommuting rows are column X_site.
-
-    With rng None (an unsigned state only) nothing is drawn: the return value
-    says whether the outcome was random, and the caller draws its bit. The
+def _measure_z_inplace(state: StabilizerState, site: int, rng: Optional[Rng] = None) -> int:
+    """Measure h = Z_site: the anticommuting rows are column X_site. The
     runner's measurements run in the row kernel's apply_layer when it is
-    built (`_apply_layer`), so this is their numpy path.
-    """
+    built (`_apply_layer`), so this is their numpy path."""
     _check_site(state, site)
-    return _collapse(
-        state, _column_int(state, site), 1 << (state.num_qubits + site), 1, rng, need_outcome
-    )
+    return _collapse(state, _column_int(state, site), 1 << (state.num_qubits + site), 1, rng)
 
 
-def _collapse(
-    state: StabilizerState,
-    anti: int,
-    h: int,
-    h_sign: int,
-    rng: Optional[Rng],
-    need_outcome: bool,
-) -> Optional[int]:
+def _collapse(state: StabilizerState, anti: int, h: int, h_sign: int, rng: Optional[Rng]) -> int:
     """The one measurement update: stabilizer._collapse_rows, then the outcome.
 
-    Cases (b) and (c) draw one rng.integers(2) and give the new stabilizer
-    the outcome's sign; case (a) draws nothing and reads the outcome as the
-    sign of h in the group. With rng None the state must be unsigned; then
-    nothing is drawn and the return value is whether the outcome was random.
+    With rng None the state must be unsigned: nothing is drawn, and the
+    return value is whether the outcome was random (the caller draws its
+    bit). With a generator the state must be signed, and the outcome is
+    returned: cases (b) and (c) draw one rng.integers(2) and give the new
+    stabilizer the outcome's sign; case (a) draws nothing and reads the
+    outcome as the sign of h in the group.
     """
-    if need_outcome:
-        state._require_signs("an outcome-returning measurement")
-    if rng is None and state._neg is not None:
-        raise ValueError("a signed state's measurement needs rng to draw its outcome")
-    p = _collapse_rows(state, anti, h)
     if rng is None:
-        return p >= 0
-    if p >= 0:
-        outcome = _uniform_outcome(rng)
         if state._neg is not None:
-            state._neg[p] = (outcome < 0) ^ (h_sign < 0)
-        return outcome
-    if not need_outcome:  # case (a)
-        return None
-    return _group_element_sign(state, (anti >> state.num_qubits) & state._stab, h) * h_sign
+            raise ValueError("a signed state's measurement needs rng to draw its outcome")
+        return _collapse_rows(state, anti, h) >= 0
+    state._require_signs("an outcome-returning measurement")
+    p = _collapse_rows(state, anti, h)
+    if p < 0:
+        return _group_element_sign(state, (anti >> state.num_qubits) & state._stab, h) * h_sign
+    outcome = _uniform_outcome(rng)
+    state._neg[p] = (outcome < 0) ^ (h_sign < 0)
+    return outcome
 
 
 def _group_element_sign(state: StabilizerState, pairs: int, h: int) -> int:

@@ -3,11 +3,12 @@
 Every quantity is a GF(2) rank of the stabilizer rows, and one function,
 `_ranks`, computes them for two disjoint site sets A and B whose union
 covers the chain: the rank on B's tableau columns, the rank on A's, and the
-rank of the binary anticommutation form of the rows restricted to A. A
-bipartition that leaves sites out is first reduced to rho_AB by dephasing
-the other sites in Z and X (`_traced`). Then, with k' the traced state's
-generator count, S_A = |A| - (k' - rank_B), S_B = |B| - (k' - rank_A),
-S_AB = |A u B| - k' and E = rank_J / 2.
+rank of the binary anticommutation form of the rows restricted to A.
+`_observables` makes the one call every query reads. A bipartition that
+leaves sites out is first reduced to rho_AB by dephasing the other sites in
+Z and X. Then, with k' the traced state's generator count,
+S_A = |A| - (k' - rank_B), S_B = |B| - (k' - rank_A), S_AB = |A u B| - k'
+and E = rank_J / 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -86,52 +87,54 @@ class _Sites(NamedTuple):
     columns: np.ndarray  # their X then Z tableau columns, for the numpy path
 
 
-class _Split(NamedTuple):
-    region: _Sites
-    rest: _Sites  # the complement in the chain
-
-
 def _sites(L: int, sites: np.ndarray) -> _Sites:
     columns = np.concatenate([sites, sites + L])
     columns.flags.writeable = False  # one array serves every caller of the cache
     return _Sites(tuple(sites.tolist()), sites.tobytes(), columns)
 
 
-@lru_cache(maxsize=256)
-def _split(L: int, region: Tuple[int, ...]) -> _Split:
-    """The region's sites and their complement. A site that is out of range
-    or not an integer raises ValueError, and lru_cache keeps no exception,
-    so it raises every call."""
+def _site_array(L: int, region: Iterable[int]) -> np.ndarray:
     sites = _sorted_sites(region)
     if sites and (sites[0] < 0 or sites[-1] >= L):
         raise ValueError("region site out of range")
-    cols = np.asarray(sites, dtype=np.int64)
-    keep = np.ones(L, dtype=bool)
-    keep[cols] = False
-    return _Split(_sites(L, cols), _sites(L, np.flatnonzero(keep)))
+    return np.asarray(sites, dtype=np.int64)
 
 
-@lru_cache(maxsize=64)
-def _bipartition_split(L: int, bp: Bipartition) -> Tuple[_Sites, _Sites, Tuple[int, ...]]:
-    """A's and B's sites, and the Z and X tableau columns of the sites
-    outside A u B, which a trace-out dephases."""
-    traced = _split(L, bp.joint()).rest.sites
-    columns = tuple(c for site in traced for c in (site, L + site))
-    return _split(L, bp.region_a).region, _split(L, bp.region_b).region, columns
+@lru_cache(maxsize=256)
+def _regions(
+    L: int, region_a: Tuple[int, ...], region_b: Optional[Tuple[int, ...]]
+) -> Tuple[_Sites, _Sites, Tuple[int, ...]]:
+    """A's and B's sites, B being the rest of the chain when region_b is
+    None, and the Z and X tableau columns of the sites outside A u B, which
+    a trace-out dephases. A site that is out of range or not an integer
+    raises ValueError, and lru_cache keeps no exception, so it raises every
+    call."""
+    a = _site_array(L, region_a)
+    outside = np.ones(L, dtype=bool)
+    outside[a] = False
+    b = np.flatnonzero(outside) if region_b is None else _site_array(L, region_b)
+    outside[b] = False
+    columns = tuple(c for site in np.flatnonzero(outside).tolist() for c in (site, L + site))
+    return _sites(L, a), _sites(L, b), columns
 
 
-def _traced(state: StabilizerState, bp: Bipartition) -> Tuple[StabilizerState, _Sites, _Sites]:
-    """rho_AB on the whole chain, and A's and B's sites. rho_AB's group is
-    the subgroup supported on A u B (Sang et al., arXiv:2012.00031): what is
-    left after dephasing every other site in both Z and X, in one
-    `_apply_layer` call on a copy. When A u B is the whole chain that is
-    every generator, and the state itself is returned."""
-    a, b, columns = _bipartition_split(state.num_qubits, bp)
+def _observables(
+    state: StabilizerState, region_a: Tuple[int, ...], region_b: Optional[Tuple[int, ...]]
+) -> Tuple[int, int, int, float]:
+    """(S_A, S_B, S_AB, E) of rho_AB, from one `_ranks` call. rho_AB's group
+    is the subgroup supported on A u B (Sang et al., arXiv:2012.00031): what
+    is left after dephasing every other site in both Z and X, in one
+    `_apply_layer` call on a copy. When A u B is the whole chain, as when
+    region_b is None, that is every generator, and no copy is made."""
+    a, b, columns = _regions(state.num_qubits, region_a, region_b)
     if columns:
         state = state.copy()
         state._neg = None  # _apply_layer takes unsigned states; dephasing reads no sign
         _apply_layer(state, columns, None, ())
-    return state, a, b
+    rank_b, rank_a, rank_j = _ranks(state, a, b)
+    k = state.num_generators
+    n_a, n_b = len(a.sites), len(b.sites)
+    return n_a - (k - rank_b), n_b - (k - rank_a), n_a + n_b - k, rank_j / 2.0
 
 
 def _ranks(state: StabilizerState, a: _Sites, b: _Sites) -> Tuple[int, int, int]:
@@ -152,18 +155,15 @@ def entropy(state: StabilizerState, region: Iterable[int]) -> int:
     """S_R = |R| - |G_R| with G_R the subgroup supported inside R.
 
     |G_R| = k - rank(generators restricted to the complement of R). The
-    split of R is cached per (L, R).
+    sites of R are cached per (L, R).
     """
-    split = _split(state.num_qubits, region if type(region) is tuple else tuple(region))
-    rank_rest = _ranks(state, split.region, split.rest)[0]
-    return len(split.region.sites) - (state.num_generators - rank_rest)
+    return _observables(state, region if type(region) is tuple else tuple(region), None)[0]
 
 
 def negativity(state: StabilizerState, bp: Bipartition) -> float:
     """E = rank(J)/2, J the anticommutation form of rho_AB's generators on
-    A. The split of bp is cached per (L, bp)."""
-    traced, a, b = _traced(state, bp)
-    return _ranks(traced, a, b)[2] / 2.0
+    A. The sites of bp are cached per (L, A, B)."""
+    return _observables(state, bp.region_a, bp.region_b)[3]
 
 
 def mutual_information(state: StabilizerState, bp: Bipartition) -> int:
@@ -198,15 +198,8 @@ class ObservableRecord:
 def record_observables(
     state: StabilizerState, bp: Bipartition, time: int
 ) -> ObservableRecord:
-    """The observables of one record, from one `_ranks` call on rho_AB.
-    When A and B cover the chain no copy is made."""
-    traced, a, b = _traced(state, bp)
-    rank_b, rank_a, rank_j = _ranks(traced, a, b)
-    k = traced.num_generators
-    s_a = len(a.sites) - (k - rank_b)
-    s_b = len(b.sites) - (k - rank_a)
-    s_ab = len(a.sites) + len(b.sites) - k
-    e = rank_j / 2.0
+    """The observables of one record, from one `_observables` call."""
+    s_a, s_b, s_ab, e = _observables(state, bp.region_a, bp.region_b)
     mi = s_a + s_b - s_ab
     if 2 * e > mi + 1e-9:
         # 2E <= I holds for stabilizer states; a violation signals an engine

@@ -400,6 +400,9 @@ def kpz_scan(widths: Sequence[int], p: float, samples: int, rng) -> KpzScan:
     """
     if not isinstance(rng, np.random.Generator):
         rng = make_rng(rng)
+    widths = list(widths)
+    if not all(isinstance(v, (int, np.integer)) for v in widths + [samples]):
+        raise ValueError(f"widths and samples must be integers, got {widths} and {samples!r}")
     widths_arr = np.asarray(sorted(widths), dtype=np.int64)
     if widths_arr.size == 0 or widths_arr[0] < 2:
         raise ValueError("need widths >= 2")

@@ -11,9 +11,10 @@
  * row operations of the numpy code it stands in for
  * (channels._dephase_inplace, channels._apply_tables_inplace and
  * stabilizer._collapse_rows), in the same order, so both leave the same
- * bits. A measurement's or a dephasing's row products take one pass over
- * the columns (update_rows): per block of 64 columns the source row's bits
- * are read once, then each word holding a cleared or target row is
+ * bits; measure and _collapse_rows have the same one tail for cases (b)
+ * and (c). A measurement's or a dephasing's row products take one pass
+ * over the columns (update_rows): per block of 64 columns the source row's
+ * bits are read once, then each word holding a cleared or target row is
  * updated. record_ranks, the only rank call, reads the tableau: the three
  * ranks behind every entropy, negativity and record of negsim.entanglement.
  * canonicalize runs stabilizer.canonicalize's two sweeps on an unsigned
@@ -130,7 +131,8 @@ static int measure(u64 *t, int L, u64 *stab, int site)
         }
     if (src < 0) /* (a): deterministic, nothing changes */
         return 0;
-    /* Row src goes into the anticommuting rows outside its pair p. When src
+    /* The one tail of cases (b) and (c), as in stabilizer._collapse_rows:
+     * row src goes into the anticommuting rows outside its pair p. When src
      * is the pair's first row (always in case b) it also replaces the
      * second. Then the first row becomes Z_site. */
     int p = src % L;

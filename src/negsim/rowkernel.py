@@ -7,7 +7,7 @@ bit-identical tableaux. It serves these calls, each behind one dispatch line:
 - `channels._apply_layer`, the one tableau update, on unsigned states: pending
   dephasing columns, a brickwork layer's gates (as class indices into
   `channels._class_tables()`) and the layer's Z measurements for the
-  runner's flushes, and the dephasing columns of `entanglement._traced`'s
+  runner's flushes, and the dephasing columns of `entanglement._observables`'
   trace-out;
 - `entanglement._ranks`, the three GF(2) ranks behind every entropy,
   negativity and record, in one `record_ranks` call on any state (no rank

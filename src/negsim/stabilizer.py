@@ -327,8 +327,9 @@ class StabilizerState:
 
 def _multiply(state: StabilizerState, source: int, targets: int) -> None:
     """Rows in the int mask targets <- row source times themselves; signed
-    states go through _multiply_rows for the stabilizer signs."""
-    if state._neg is not None:
+    states go through _multiply_rows when a stabilizer row, whose sign the
+    product changes, is among the targets."""
+    if state._neg is not None and targets & state._stab:
         state._multiply_rows(source, _bit_indices(targets))
     else:
         _xor_row(state._cols, source, targets)
@@ -338,40 +339,34 @@ def _collapse_rows(state: StabilizerState, anti: int, h: int) -> int:
     """Tableau part of measuring the 2L-bit row h; anti marks the rows
     anticommuting with it. Returns the pair whose stabilizer is now h, or -1.
 
-    (b) a stabilizer S_p anticommutes: multiply it into the other
-        anticommuting rows except D_p, then D_p <- S_p and S_p <- h.
-    (c) only logical rows anticommute: multiply the lowest, q, into the
-        others except its partner; q becomes the destabilizer and h the
-        stabilizer of that pair.
+    The source row src is the lowest anticommuting stabilizer S_p (case b),
+    else the lowest anticommuting logical row (case c); pair = src % L. src
+    is multiplied into the other anticommuting rows outside its pair (and
+    into row L + pair, cleared first, when src is row pair), so it ends up
+    as the pair's destabilizer, and h becomes the pair's stabilizer.
     (a) nothing but destabilizers anticommutes: h is +-prod of the S_i whose
         D_i anticommutes with h, and the tableau is unchanged.
     Signs of the other stabilizers follow the row products; the caller
-    writes the sign of S_p.
+    writes the sign of the new stabilizer.
     """
     L = state.num_qubits
     cols, stab = state._cols, state._stab
-    hit = anti & stab
-    if hit:  # case (b)
-        p = (hit & -hit).bit_length() - 1
-        _clear_row(cols, L + p)  # the multiply below then copies S_p into D_p
-        _multiply(state, p, (anti & ~(1 << p)) | (1 << (L + p)))
-        _write_row(cols, p, h)
-        return p
-    free = ((1 << L) - 1) & ~stab
-    hit = anti & (free | (free << L))
-    if hit:  # case (c): no stabilizer is hit, so no sign changes
-        q = (hit & -hit).bit_length() - 1
-        pair = q % L
-        if q == pair:  # q moves into the destabilizer row
-            _clear_row(cols, L + pair)
-            targets = (anti & ~(1 << q)) | (1 << (L + pair))
-        else:
-            targets = anti & ~((1 << q) | (1 << pair))
-        _xor_row(cols, q, targets)
-        _write_row(cols, pair, h)
-        state._stab = stab | (1 << pair)
-        return pair
-    return -1
+    hit = anti & stab  # case (b)
+    if not hit:
+        free = ((1 << L) - 1) & ~stab
+        hit = anti & (free | (free << L))  # case (c)
+        if not hit:
+            return -1
+    src = (hit & -hit).bit_length() - 1
+    pair = src % L
+    targets = anti & ~(1 << src | 1 << pair)
+    if src == pair:
+        _clear_row(cols, L + pair)
+        targets |= 1 << (L + pair)
+    _multiply(state, src, targets)
+    _write_row(cols, pair, h)
+    state._stab = stab | (1 << pair)
+    return pair
 
 
 def product_state(L: int, signed: bool = True) -> StabilizerState:

@@ -209,6 +209,15 @@ def test_sweep_spec_configs():
         SweepSpec(L_values=[4], p_values=[0.1], dephasing_schedule="bogus")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("L_values", [4, 6.0]), ("p_values", [0.1, "0.2"]), ("L_values", 4), ("seed", 1.5),
+    ("samples", 2.5), ("T", 4.0), ("observables_every", 2.5),
+])
+def test_sweep_spec_rejects_wrong_types_at_construction(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+        SweepSpec(**{"L_values": [4], "p_values": [0.1], key: value})
+
+
 def test_run_sweep_logs_one_line_per_cell(caplog):
     spec = SweepSpec(L_values=[4, 6], p_values=[0.1, 0.2], seed=1, samples=1, T=4)
     with caplog.at_level(logging.INFO, logger="negsim.analysis"):

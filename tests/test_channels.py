@@ -333,22 +333,18 @@ def test_fast_z_path_matches_general_measurement():
         h = PauliString.from_ops(5, {site: "Z"})
 
         s_general = state.copy()
-        out_general = _measure_inplace(s_general, h, make_rng(seed), need_outcome=True)
+        out_general = _measure_inplace(s_general, h, make_rng(seed))
         s_fast = state.copy()
-        out_fast = _measure_z_inplace(s_fast, site, make_rng(seed), need_outcome=True)
+        out_fast = _measure_z_inplace(s_fast, site, make_rng(seed))
         assert out_general == out_fast
         assert s_general == s_fast
-
-        s_blind = state.copy()
-        _measure_z_inplace(s_blind, site, make_rng(seed), need_outcome=False)
-        assert s_blind == s_fast  # same collapse, same rng stream
 
 
 @pytest.mark.parametrize(
     "update",
     [
-        lambda s: _measure_z_inplace(s, -1, None, need_outcome=False),
-        lambda s: _measure_z_inplace(s, 4, None, need_outcome=False),
+        lambda s: _measure_z_inplace(s, -1),
+        lambda s: _measure_z_inplace(s, 4),
         lambda s: _dephase_inplace(s, -1),
         lambda s: _dephase_inplace(s, 8),
         lambda s: _apply_layer(s, [-1], None, []),
@@ -384,22 +380,24 @@ def test_layer_call_needs_one_class_per_gate(both_paths):
 @pytest.mark.parametrize("site", range(5))
 def test_z_measurement_without_rng_reports_a_random_outcome(both_paths, site):
     # the runner measures a layer with rng None and draws the random outcomes' bits after it;
-    # its layer call (the row kernel's measure when built) must count and collapse alike
+    # an unsigned measurement reports a random outcome exactly when a signed one draws,
+    # and its layer call (the row kernel's measure when built) must count and collapse alike
     for seed in range(12):
         signed = random_mixed_state(5, seed=seed + 300)
         unsigned = signed.copy()
         unsigned._neg = None
-        drawn, stream, layer = unsigned.copy(), make_rng(seed), unsigned.copy()
-        random = _measure_z_inplace(unsigned, site, None, need_outcome=False)
-        outcome = _measure_z_inplace(drawn, site, stream, need_outcome=False)
-        assert random is (outcome is not None)
+        drawn, stream, layer = signed.copy(), make_rng(seed), unsigned.copy()
+        random = _measure_z_inplace(unsigned, site)
+        _measure_z_inplace(drawn, site, stream)
+        assert random is (stream.bit_generator.state != make_rng(seed).bit_generator.state)
         assert unsigned._stab == drawn._stab and np.array_equal(unsigned._cols, drawn._cols)
         assert _apply_layer(layer, (), None, [site]) == random
         assert layer._stab == unsigned._stab and np.array_equal(layer._cols, unsigned._cols)
-        before = signed.copy()
-        with pytest.raises(ValueError, match="needs rng"):
-            _measure_z_inplace(signed, site, None, need_outcome=False)
-        assert signed == before and np.array_equal(signed._cols, before._cols)
+        for state, rng, match in ((signed, None, "needs rng"), (unsigned, stream, "signed")):
+            before = state.copy()
+            with pytest.raises(ValueError, match=match):
+                _measure_z_inplace(state, site, rng)
+            assert state._stab == before._stab and np.array_equal(state._cols, before._cols)
 
 
 # -- dephasing ----------------------------------------------------------------

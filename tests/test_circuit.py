@@ -96,6 +96,20 @@ def test_config_from_dict_rejects_wrong_types(key, value):
     assert cfg == CircuitConfig(L=16, p=0.0)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("observables_every", 2.5), ("L", 8.0), ("T", 4.0), ("seed", 1.5), ("samples", 2.0),
+    ("p", True), ("dephasing_schedule", None),
+])
+def test_config_rejects_wrong_types_at_construction(key, value):
+    # a float stride would record at t = 5, 10, ...; a float L, T or seed
+    # would fail only inside run_trajectory
+    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+        CircuitConfig(**{"L": 8, "p": 0.1, key: value})
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        CircuitConfig(L=8, p=0.1, seed=-1)
+    assert CircuitConfig(L=np.int64(8), p=np.float32(0.5), T=np.int32(3)).steps == 3
+
+
 def test_steps_default():
     assert CircuitConfig(L=10, p=0.1).steps == 40
     assert CircuitConfig(L=10, p=0.1, T=7).steps == 7

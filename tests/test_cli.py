@@ -78,6 +78,10 @@ BAD_INPUTS = {
         "cfg.json", json.dumps({"L": "16", "p": 0.1}),
         ["run", "--config", "{path}", "--out", "{out}"],
     ),
+    "run_negative_seed": (
+        "cfg.json", json.dumps({"L": 8, "p": 0.1, "seed": -1}),
+        ["run", "--config", "{path}", "--out", "{out}"],
+    ),
     "fit_missing_column": (
         "sweep.csv", "L,p,observable,late_mean,samples,stationary\n4,0.1,E,0.5,3,1\n",
         ["fit", "--in", "{path}", "--p", "0.1"],

@@ -247,6 +247,8 @@ def test_negativity_on_non_covering_splits_matches_dense(both_paths):
             assert abs(rec.S_AB - s_ab) < 1e-9 and abs(rec.E - want) < 1e-9, (a, b)
             assert abs(rec.I - (s_a + s_b - s_ab)) < 1e-9, (a, b)
             assert rec.purity_log2 == round(np.log2(dense.purity())), (a, b)
+            assert mutual_information(state, bp) == rec.I, (a, b)
+            assert entropy(state, bp.region_a) == rec.S_A, (a, b)
 
 
 def test_out_of_range_region_raises_on_every_call(both_paths):

@@ -14,6 +14,7 @@ from negsim.channels import (
     _apply_tables_inplace,
     _class_tables,
     _dephase_inplace,
+    _draw_outcomes,
     _gate_from_class,
     _measure_z_inplace,
     apply_clifford,
@@ -110,7 +111,7 @@ def test_unsigned_runner_path_tracks_signed_path(L, ops):
             site = op[1] % L
             rng_a, rng_b = make_rng(op[3]), make_rng(op[3])
             _, signed = measure_pauli(signed, PauliString.from_ops(L, {site: "Z"}), rng_a)
-            _measure_z_inplace(unsigned, site, rng_b, need_outcome=False)
+            _draw_outcomes(rng_b, int(_measure_z_inplace(unsigned, site)))
             assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
         else:
             site = op[1] % L

@@ -167,7 +167,7 @@ def per_op_numpy(state, columns, gates, sites):
     if gates is not None:
         cols, sym, _ = gates
         _apply_tables_inplace(state, _class_tables()[sym], cols, cols + 1)
-    return sum(bool(_measure_z_inplace(state, site, None, need_outcome=False)) for site in sites)
+    return sum(_measure_z_inplace(state, site) for site in sites)
 
 
 @needs_kernel

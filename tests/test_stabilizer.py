@@ -206,7 +206,7 @@ def test_unsigned_state_refuses_sign_queries():
     with pytest.raises(ValueError, match="signed"):
         measure_pauli(state, PauliString.from_ops(6, {0: "Z"}), make_rng(0))
     with pytest.raises(ValueError, match="signed"):
-        _measure_z_inplace(state.copy(), 0, make_rng(0), need_outcome=True)
+        _measure_z_inplace(state.copy(), 0, make_rng(0))
     # everything that reads no sign works and agrees with the signed state
     assert validate(state) is None
     assert state != signed
