@@ -362,6 +362,14 @@ class SweepSpec:
         _check_field_types(self)
         if len(self.L_values) == 0 or len(self.p_values) == 0:
             raise ValueError("L_values and p_values must be non-empty")
+        # a repeated cell would run twice under one seed and be written twice;
+        # p values are keyed (seed and CSV) by their 9-digit form
+        if len(set(self.L_values)) < len(self.L_values):
+            raise ValueError(f"L_values must not repeat a value, got {list(self.L_values)}")
+        if len({f"{p:.9g}" for p in self.p_values}) < len(self.p_values):
+            raise ValueError(
+                f"p_values must differ to 9 significant digits, got {list(self.p_values)}"
+            )
         self.configs()  # validate every cell eagerly
 
     def configs(self) -> List[CircuitConfig]:

@@ -40,12 +40,12 @@ __all__ = [
 
 def _sorted_sites(region: Iterable[int]) -> List[int]:
     """The distinct sites of region as sorted ints. A site whose value is
-    not an integer (0.5, '0', None) raises ValueError rather than being cut
-    to one that is."""
+    not an integer (0.5, '0', None, True) raises ValueError rather than being
+    cut to one that is."""
     sites = set()
     for site in region:
         try:
-            index = int(site)
+            index = None if isinstance(site, (bool, np.bool_)) else int(site)
         except (TypeError, ValueError, OverflowError):
             index = None
         if index is None or index != site:
@@ -157,7 +157,10 @@ def entropy(state: StabilizerState, region: Iterable[int]) -> int:
     |G_R| = k - rank(generators restricted to the complement of R). The
     sites of R are cached per (L, R).
     """
-    return _observables(state, region if type(region) is tuple else tuple(region), None)[0]
+    region = region if type(region) is tuple else tuple(region)
+    if any(isinstance(site, (bool, np.bool_)) for site in region):
+        _sorted_sites(region)  # raises: True == 1, so the cache would answer for site 1
+    return _observables(state, region, None)[0]
 
 
 def negativity(state: StabilizerState, bp: Bipartition) -> float:

@@ -160,6 +160,20 @@ def find_intermediate_D(n: int, k: int) -> Optional[Permutation]:
 SAMPLE_CHUNK = 1 << 17  # doubles per draw in PolymerLattice.sample (1 MB)
 
 
+def _check_integers(**values) -> None:
+    """Raise ValueError naming the first value that is not an int or numpy
+    integer; a bool is none, though Python counts it as an int."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_dimensions(width, height) -> None:
+    _check_integers(width=width, height=height)
+    if width < 1 or height < 0:
+        raise ValueError("bad lattice dimensions")
+
+
 @dataclass
 class PolymerLattice:
     """Quenched bond disorder on the tilted half-plane lattice.
@@ -175,8 +189,7 @@ class PolymerLattice:
     energy_unit: float = 1.0
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 0:
-            raise ValueError("bad lattice dimensions")
+        _check_dimensions(self.width, self.height)
         if self.measured.shape != (self.width, self.height + 1, 2):
             raise ValueError("measured array shape mismatch")
         if self.measured.dtype != np.bool_:
@@ -193,24 +206,33 @@ class PolymerLattice:
     ) -> "PolymerLattice":
         """I.i.d. Bernoulli(p) bonds; rng may be a Generator or a seed.
 
-        The bonds are rng.random((width, height + 1, 2)) < p, drawn in
-        chunks of SAMPLE_CHUNK doubles so that no full-size float array
-        exists: the same doubles in the same order, and the same state of
-        rng afterwards.
+        The bonds are rng.random((width, height + 1, 2)) < p: the same
+        doubles in the same order, and the same state of rng afterwards, on
+        either path. When the row kernel is built and rng runs on numpy's
+        PCG64 (make_rng's and default_rng's bit generator), the kernel steps
+        PCG64 itself and writes each bond without making its double
+        (rowkernel.draw_bonds). Every other bit generator, and a build
+        without a compiler, draws the doubles in chunks of SAMPLE_CHUNK, so
+        that no full-size float array exists. The dimensions are checked
+        before anything is drawn.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        _check_dimensions(width, 0 if height is None else height)
         if not isinstance(rng, np.random.Generator):
             rng = make_rng(rng)
         if height is None:
             height = width // 2
         measured = np.empty((width, height + 1, 2), dtype=bool)
-        flat = measured.reshape(-1)
-        buf = np.empty(min(SAMPLE_CHUNK, flat.size))
-        for start in range(0, flat.size, SAMPLE_CHUNK):
-            chunk = buf[: flat.size - start]
-            rng.random(out=chunk)
-            np.less(chunk, p, out=flat[start : start + chunk.size])
+        if rowkernel.LIB is not None and type(rng.bit_generator) is np.random.PCG64:
+            rowkernel.draw_bonds(rng, p, measured)
+        else:
+            flat = measured.reshape(-1)
+            buf = np.empty(min(SAMPLE_CHUNK, flat.size))
+            for start in range(0, flat.size, SAMPLE_CHUNK):
+                chunk = buf[: flat.size - start]
+                rng.random(out=chunk)
+                np.less(chunk, p, out=flat[start : start + chunk.size])
         return cls(width, height, measured, p, energy_unit)
 
 
@@ -222,6 +244,7 @@ class PathQuery:
     x_end: int
 
     def __post_init__(self):
+        _check_integers(x_start=self.x_start, x_end=self.x_end)
         if self.x_start >= self.x_end:
             raise ValueError("need x_start < x_end")
 

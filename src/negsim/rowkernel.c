@@ -34,7 +34,13 @@
  * The library also holds polymer_energy, the ground-state DP of
  * polymer._min_energy on the bool bond lattice of a PolymerLattice. It
  * returns -2 for a query out of range before it reads the lattice; the
- * Python side checks the lattice's shape, dtype and layout.
+ * Python side checks the lattice's shape, dtype and layout. draw_bonds
+ * draws that lattice for PolymerLattice.sample: it steps numpy's PCG64
+ * itself, from the 128-bit state and increment that the Python side reads
+ * from bit_generator.state, writes each bond as rng.random() < p would make
+ * it, and hands back the state after the last draw, which the Python side
+ * writes into bit_generator.state under its lock. Where the compiler has no
+ * unsigned __int128 it multiplies in 32-bit halves, with the same results.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -594,4 +600,76 @@ int polymer_energy(const unsigned char *m, int w, int h, int a, int b)
     int count = (b - a) % 2 ? -1 : best[0];
     free(best);
     return count < 0 ? -1 : b - a - count;
+}
+
+/* numpy's PCG64: a 128-bit LCG with numpy's default multiplier and the
+ * generator's odd increment, stepped before each draw, and the XSL-RR
+ * output (O'Neill, HMC-CS-2014-0905). A 128-bit value is two words. */
+typedef struct {
+    u64 hi, lo;
+} u128;
+
+static const u128 PCG_MULT = {0x2360ed051fc65da4ULL, 0x4385df649fccf645ULL};
+
+/* the high word of the 128-bit product a * b */
+static u64 mul_high(u64 a, u64 b)
+{
+#ifdef __SIZEOF_INT128__
+    return (u64)(((unsigned __int128)a * b) >> 64);
+#else
+    u64 al = a & 0xffffffffu, ah = a >> 32, bl = b & 0xffffffffu, bh = b >> 32;
+    u64 lh = al * bh, hl = ah * bl;
+    u64 mid = ((al * bl) >> 32) + (lh & 0xffffffffu) + (hl & 0xffffffffu);
+    return ah * bh + (lh >> 32) + (hl >> 32) + (mid >> 32);
+#endif
+}
+
+/* a * b + c mod 2^128 */
+static u128 mul_add(u128 a, u128 b, u128 c)
+{
+    u128 r = {mul_high(a.lo, b.lo) + a.lo * b.hi + a.hi * b.lo + c.hi, a.lo * b.lo + c.lo};
+    r.hi += r.lo < c.lo;
+    return r;
+}
+
+static u64 xsl_rr(u128 s)
+{
+    u64 x = s.hi ^ s.lo;
+    unsigned r = (unsigned)(s.hi >> 58);
+    return (x >> r) | (x << (-r & 63));
+}
+
+/* Interleaved PCG64 streams in draw_bonds: stream j makes draws j, j + 4,
+ * ..., so the streams' multiplies overlap. */
+#define STREAMS 4
+
+/* out[i] = (draw i >> 11) < threshold for i < n, with state = {state hi,
+ * state lo, increment hi, increment lo} of numpy's PCG64, then the state
+ * after the last draw written back to state[0..1]. Draw i's top 53 bits
+ * are the double rng.random() makes of it times 2^53, so with threshold
+ * ceil(p 2^53) out is rng.random(n) < p. Stream j starts at the state of
+ * draw j and steps STREAMS draws at a time by the LCG's jump-ahead:
+ * s -> mult^STREAMS s + inc (mult^(STREAMS-1) + ... + 1). */
+void draw_bonds(u64 *state, u64 threshold, int64_t n, unsigned char *out)
+{
+    if (n <= 0)
+        return;
+    u128 inc = {state[2], state[3]}, one = {0, 1}, zero = {0, 0};
+    u128 jump = one, shift = zero, x[STREAMS];
+    for (int j = 0; j < STREAMS; j++) {
+        x[j] = mul_add(j ? x[j - 1] : (u128){state[0], state[1]}, PCG_MULT, inc);
+        jump = mul_add(jump, PCG_MULT, zero);
+        shift = mul_add(shift, PCG_MULT, inc);
+    }
+    int64_t i = 0;
+    for (; n - i > STREAMS; i += STREAMS)
+        for (int j = 0; j < STREAMS; j++) {
+            out[i + j] = (xsl_rr(x[j]) >> 11) < threshold;
+            x[j] = mul_add(x[j], jump, shift);
+        }
+    int last = (int)(n - i) - 1;
+    for (int j = 0; j <= last; j++)
+        out[i + j] = (xsl_rr(x[j]) >> 11) < threshold;
+    state[0] = x[last].hi;
+    state[1] = x[last].lo;
 }

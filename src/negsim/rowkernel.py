@@ -23,7 +23,12 @@ bit-identical tableaux. It serves these calls, each behind one dispatch line:
   order, on the stabilizer and destabilizer rows copied into row bitsets,
   so both give the same bits; signed states keep the row-int code.
 It also holds the ground-state DP of `polymer._min_energy`, which reads the
-bool bond lattice and returns the same integer energy as the numpy DP.
+bool bond lattice and returns the same integer energy as the numpy DP, and
+`draw_bonds`, which draws that lattice for `PolymerLattice.sample` when the
+Generator runs on numpy's PCG64: the kernel steps PCG64 from the 128-bit
+state and increment read from `rng.bit_generator.state`, writes each bond as
+`rng.random() < p` makes it, and the state after the last draw is written
+back, under the bit generator's lock; the bonds and the state are numpy's.
 
 On first import the source is compiled with `cc -O3 -shared -fPIC` into
 `__pycache__/rowkernel-<hash>.so` beside this file (or `~/.cache/negsim/` when
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import shutil
@@ -98,6 +104,15 @@ def _remove_older_builds(path: Path) -> None:
                 pass
 
 
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare the argument types of the calls made once per lattice, where
+    they cost little: draw_bonds' count and threshold exceed a C int."""
+    lib.polymer_energy.argtypes = (ctypes.c_void_p,) + (ctypes.c_int,) * 4
+    lib.draw_bonds.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p)
+    lib.draw_bonds.restype = None
+    return lib
+
+
 def load() -> Optional[ctypes.CDLL]:
     """The kernel from the first of CACHE_DIRS that has or can build it, else None."""
     try:
@@ -112,15 +127,13 @@ def load() -> Optional[ctypes.CDLL]:
             if folder == CACHE_DIRS[0]:
                 _remove_older_builds(path)
         try:
-            return ctypes.CDLL(str(path))
+            return _declare(ctypes.CDLL(str(path)))
         except OSError:
             continue
     return None
 
 
 LIB = load()
-if LIB is not None:  # one call per lattice: declared types cost little there
-    LIB.polymer_energy.argtypes = (ctypes.c_void_p,) + (ctypes.c_int,) * 4
 
 # The tableau and draw functions are called without declared argument
 # types, which halves ctypes' per-call cost: every argument is a Python int
@@ -277,3 +290,30 @@ def polymer_energy(lat, q) -> int:
     if energy == -3:
         raise MemoryError("row kernel could not allocate its polymer buffer")
     return energy
+
+
+_WORD = (1 << 64) - 1
+
+
+def draw_bonds(rng, p: float, out: np.ndarray) -> None:
+    """out[...] = rng.random(out.shape) < p for a Generator on numpy's PCG64:
+    the same bonds, and the bit generator left in the same state. The kernel
+    steps PCG64 from the 128-bit state and increment of
+    rng.bit_generator.state, and the state after the last draw is written
+    back under the bit generator's lock; has_uint32 and uinteger, which
+    random() neither reads nor writes, stay as they were."""
+    bits = rng.bit_generator
+    if type(bits) is not np.random.PCG64:
+        raise ValueError(f"draw_bonds steps numpy's PCG64, not {type(bits).__name__}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if out.dtype != np.bool_ or not out.flags.c_contiguous:
+        raise ValueError("the bonds must be a C-contiguous bool array")
+    threshold = math.ceil(float(p) * 2.0**53)  # in float64 whatever p's numpy type
+    with bits.lock:
+        full = bits.state
+        state, inc = full["state"]["state"], full["state"]["inc"]
+        words = (ctypes.c_uint64 * 4)(state >> 64, state & _WORD, inc >> 64, inc & _WORD)
+        LIB.draw_bonds(words, threshold, out.size, out.ctypes.data)
+        full["state"]["state"] = words[0] << 64 | words[1]
+        bits.state = full

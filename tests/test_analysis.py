@@ -209,6 +209,16 @@ def test_sweep_spec_configs():
         SweepSpec(L_values=[4], p_values=[0.1], dephasing_schedule="bogus")
 
 
+def test_sweep_spec_rejects_repeated_cells():
+    # a repeated value ran the same cell twice under one seed and wrote it
+    # twice; p values are keyed by their 9-digit form, so 0.1 + 1e-12 is 0.1
+    for L_values, p_values in [([4, 4], [0.1]), ([4, 6], [0.1, 0.2, 0.1]),
+                               ([4], [0.1, 0.1 + 1e-12])]:
+        with pytest.raises(ValueError, match="must not repeat|must differ"):
+            SweepSpec(L_values=L_values, p_values=p_values, samples=2, T=4)
+    assert len(SweepSpec(L_values=[4], p_values=[0.1, 0.1 + 1e-8], samples=2, T=4).configs()) == 2
+
+
 @pytest.mark.parametrize("key,value", [
     ("L_values", [4, 6.0]), ("p_values", [0.1, "0.2"]), ("L_values", 4), ("seed", 1.5),
     ("samples", 2.5), ("T", 4.0), ("observables_every", 2.5),

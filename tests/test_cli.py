@@ -74,6 +74,11 @@ BAD_INPUTS = {
         "cfg.json", json.dumps({"L_values": [4], "p_values": [0.1], "banana": 1}),
         ["sweep", "--config", "{path}", "--out", "{out}"],
     ),
+    "sweep_repeated_L": (
+        "cfg.json", json.dumps({"L_values": [4, 4], "p_values": [0.1], "samples": 2, "T": 4}),
+        ["sweep", "--config", "{path}", "--out", "{out}"],
+    ),
+    "sweep_repeated_p": ("cfg.json", "", ["sweep", "--L", "4", "--p", "0.1,0.10", "--out", "{out}"]),
     "run_string_L": (
         "cfg.json", json.dumps({"L": "16", "p": 0.1}),
         ["run", "--config", "{path}", "--out", "{out}"],

@@ -274,3 +274,18 @@ def test_out_of_range_region_raises_on_every_call(both_paths):
                 Bipartition([3], region)
     assert entropy(state, (0, 3)) == 0 and negativity(state, Bipartition([0], [3])) == 0.0
     assert entropy(state, [np.int64(1), 2.0]) == 0 and Bipartition([1.0], [np.int32(2)]).joint() == (1, 2)
+
+
+def test_bool_sites_are_not_integers(both_paths):
+    # True == 1: an int cast read [True, 2] as the sites 1 and 2, and a
+    # cached (1, 2) would answer for (True, 2)
+    state = product_state(4)
+    assert entropy(state, (1, 2)) == 0
+    for region in ([True], [True, 2], (np.bool_(True), 2), np.array([False, True])):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not an integer"):
+                entropy(state, region)
+            with pytest.raises(ValueError, match="not an integer"):
+                Bipartition(region, [3])
+            with pytest.raises(ValueError, match="not an integer"):
+                Bipartition([3], region)

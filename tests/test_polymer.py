@@ -154,14 +154,37 @@ def test_lattice_sampling_and_validation():
     "width, height, p",
     [(8, 4, 0.3), (300, 7, 0.1), (256, 255, 0.5), (512, 255, 0.0), (1000, 600, 0.1), (40, 61, 1.0)],
 )
-def test_chunked_sampler_matches_one_shot_draw(monkeypatch, chunk, width, height, p):
+def test_chunked_sampler_matches_one_shot_draw(numpy_path, monkeypatch, chunk, width, height, p):
     # (256, 255) and (512, 255) draw exactly one and two full chunks of
-    # 2^17 doubles, (1000, 600) nine and a part; with chunk 7 all are uneven
+    # 2^17 doubles, (1000, 600) nine and a part; with chunk 7 all are uneven.
+    # The row kernel would draw these PCG64 bonds without chunks.
     monkeypatch.setattr(polymer, "SAMPLE_CHUNK", chunk)
     rng, ref = make_rng(width), make_rng(width)
     lat = PolymerLattice.sample(width, p, rng, height=height)
     assert np.array_equal(lat.measured, ref.random((width, height + 1, 2)) < p)
     assert rng.random() == ref.random()
+
+
+def test_integer_inputs_are_checked_at_construction():
+    # these constructed, then failed in the DPs (TypeError, ctypes'
+    # ArgumentError) or, for False, meant 0
+    for args in [(0, 4.0), (0.0, 4), (False, 4), (0, True), (np.bool_(False), 4), ("0", 4)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            PathQuery(*args)
+    assert PathQuery(np.int64(0), np.int32(4)).span == 4
+    measured = np.zeros((8, 5, 2), dtype=bool)
+    for width, height in [(8.0, 4), (8, 4.0), (True, 4), (8, np.bool_(True))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            PolymerLattice(width, height, measured, 0.1)
+    # sample checks before it allocates or draws: a rejected call leaves rng
+    rng = make_rng(0)
+    before = rng.bit_generator.state
+    for width, height in [(8.0, None), (8, 4.0), (True, None), (8, False), ("8", None),
+                          (0, None), (8, -1)]:
+        with pytest.raises(ValueError, match="must be an integer|bad lattice dimensions"):
+            PolymerLattice.sample(width, 0.1, rng, height=height)
+    assert rng.bit_generator.state == before
+    assert PolymerLattice.sample(np.int64(8), 0.1, rng, height=np.int32(2)).measured.shape == (8, 3, 2)
 
 
 def test_query_validation():

@@ -4,8 +4,9 @@ Each update must leave the same tableau bits and stabilizer mask as the
 numpy path after every operation, and count the same random outcomes; each
 rank must equal the int-row elimination's; canonicalize must leave the
 same bits as the row-int code; each polymer energy must equal
-the numpy DP's, or fail with the same ValueError. The numpy side runs with
-rowkernel.LIB set to None.
+the numpy DP's, or fail with the same ValueError; the PCG64 bond draw must
+give rng.random()'s bonds and leave the generator in its state. The numpy
+side runs with rowkernel.LIB set to None.
 """
 
 import copy
@@ -456,14 +457,98 @@ def test_polymer_kernel_checks_lattice_and_query():
             rowkernel.polymer_energy(wrong, PathQuery(0, 8))
 
 
+# Bond counts 1 .. 8 and 1001 .. 1004 leave every remainder mod the 4
+# interleaved PCG64 streams of rowkernel.c's draw_bonds, with 1 and 2 bonds
+# short of one round.
+BOND_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 1001, 1002, 1003, 1004)
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's default 128-bit multiplier
+
+
+def twin_generators(seed, warm=False, first=None):
+    """Two PCG64 Generators in one state. A warm pair holds a buffered
+    32-bit half (has_uint32 = 1) from rng.integers(2). With first, the
+    state is one LCG step before a state whose XSL-RR output, rotated by 0,
+    has first as its top 53 bits: the next rng.random() is first / 2^53."""
+    pair = make_rng(seed), make_rng(seed)
+    for rng in pair:
+        if warm:
+            rng.integers(2)
+        if first is not None:
+            state = rng.bit_generator.state
+            high = 0x0123456789ABCDEF  # its top 6 bits, the rotation, are 0
+            nxt = high << 64 | (high ^ first << 11)
+            inverse = pow(PCG64_MULT, -1, 1 << 128)
+            state["state"]["state"] = (nxt - state["state"]["inc"]) * inverse % (1 << 128)
+            rng.bit_generator.state = state
+    return pair
+
+
+def kernel_bonds_match_numpy(rng, ref, n, p):
+    """rowkernel.draw_bonds from rng against ref.random(n) < p: the same
+    bonds and the same bit generator state (has_uint32 and uinteger too)."""
+    out = np.empty(n, dtype=bool)
+    rowkernel.draw_bonds(rng, p, out)
+    return np.array_equal(out, ref.random(n) < p) and rng.bit_generator.state == ref.bit_generator.state
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "p", [0.0, 1.0, 0.1, np.float32(0.1), np.nextafter(0.1, 0), np.nextafter(0.1, 1)], ids=repr
+)
+def test_kernel_bonds_match_numpy_draw(monkeypatch, p):
+    for n in BOND_COUNTS:
+        for warm in (False, True):
+            assert kernel_bonds_match_numpy(*twin_generators(n, warm), n, p), (n, warm)
+    # a first draw on either side of p * 2^53: the threshold is its ceiling
+    edge = int(float(p) * 2**53)
+    for first in [v for v in (edge - 1, edge, edge + 1) if 0 <= v < 2**53]:
+        assert twin_generators(1, first=first)[0].random() == first / 2**53
+        assert kernel_bonds_match_numpy(*twin_generators(1, first=first), 6, p), first
+    # sample sends PCG64 to the kernel and every other bit generator to the
+    # numpy path, which must match the same draw
+    calls = []
+    draw = rowkernel.draw_bonds
+    monkeypatch.setattr(rowkernel, "draw_bonds", lambda *args: calls.append(1) or draw(*args))
+    for bits in (np.random.PCG64, np.random.MT19937, np.random.PCG64DXSM, np.random.Philox,
+                 np.random.SFC64):
+        rng, ref = np.random.Generator(bits(7)), np.random.Generator(bits(7))
+        lat = PolymerLattice.sample(30, p, rng, height=11)
+        assert np.array_equal(lat.measured, ref.random((30, 12, 2)) < p), bits.__name__
+        same = rng.bit_generator.random_raw(4) == ref.bit_generator.random_raw(4)
+        assert same.all(), bits.__name__  # MT19937's state holds an array
+        assert len(calls) == (bits is np.random.PCG64), bits.__name__
+        calls.clear()
+    with pytest.raises(ValueError, match="PCG64"):
+        rowkernel.draw_bonds(np.random.Generator(np.random.PCG64DXSM(7)), p, np.empty(4, dtype=bool))
+
+
 @needs_kernel
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    proc = subprocess.run(
-        ["cc", *rowkernel.FLAGS, "-Wall", "-Wextra", "-o", str(tmp_path / "k.so"),
-         str(rowkernel.SOURCE)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    # the second build has no unsigned __int128 macro: draw_bonds multiplies
+    # in 32-bit halves there
+    for extra in ((), ("-U__SIZEOF_INT128__",)):
+        proc = subprocess.run(
+            ["cc", *rowkernel.FLAGS, *extra, "-Wall", "-Wextra", "-o", str(tmp_path / "k.so"),
+             str(rowkernel.SOURCE)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", (extra, proc.stderr)
+
+
+@needs_kernel
+def test_build_without_int128_draws_the_same_bonds(tmp_path, monkeypatch):
+    monkeypatch.setattr(rowkernel, "FLAGS", rowkernel.FLAGS + ("-U__SIZEOF_INT128__",))
+    monkeypatch.setattr(rowkernel, "CACHE_DIRS", (tmp_path,))
+    portable = rowkernel.load()
+    assert portable is not None and len(list(tmp_path.glob("rowkernel-*.so"))) == 1
+    monkeypatch.setattr(rowkernel, "LIB", portable)
+    for n in BOND_COUNTS:
+        for p in (0.0, 1.0, 0.3):
+            assert kernel_bonds_match_numpy(*twin_generators(n, warm=n % 2), n, p), (n, p)
+    rng, ref = make_rng(5), make_rng(5)
+    lat = PolymerLattice.sample(64, 0.2, rng)
+    assert np.array_equal(lat.measured, ref.random((64, 33, 2)) < 0.2)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def exported_functions(c_source: str):
