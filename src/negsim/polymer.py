@@ -168,6 +168,13 @@ def _check_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_probability(p) -> None:
+    """Raise ValueError unless p is a number in [0, 1]; a bool is none, as
+    in CircuitConfig, though it compares as 0 or 1."""
+    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be a number in [0, 1], got {p!r}")
+
+
 def _check_dimensions(width, height) -> None:
     _check_integers(width=width, height=height)
     if width < 1 or height < 0:
@@ -211,13 +218,16 @@ class PolymerLattice:
         either path. When the row kernel is built and rng runs on numpy's
         PCG64 (make_rng's and default_rng's bit generator), the kernel steps
         PCG64 itself and writes each bond without making its double
-        (rowkernel.draw_bonds). Every other bit generator, and a build
-        without a compiler, draws the doubles in chunks of SAMPLE_CHUNK, so
-        that no full-size float array exists. The dimensions are checked
-        before anything is drawn.
+        (rowkernel.draw_bonds); a lattice of 2^20 bonds or more is drawn in
+        contiguous segments on up to one thread per core (at most 8), each
+        started from its exact PCG64 state by jump-ahead, with the same
+        bits, and no thread outlives the call. Every other bit generator,
+        and a build without a compiler, draws the doubles in chunks of
+        SAMPLE_CHUNK, so that no full-size float array exists. p and the
+        dimensions are checked before anything is drawn; a bool p is
+        rejected.
         """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
+        _check_probability(p)
         _check_dimensions(width, 0 if height is None else height)
         if not isinstance(rng, np.random.Generator):
             rng = make_rng(rng)
@@ -440,7 +450,9 @@ def kpz_scan(widths: Sequence[int], p: float, samples: int, rng) -> KpzScan:
         exact = widths_arr.astype(float) if p == 0.0 else np.zeros(widths_arr.size)
         for w in widths_arr:  # one sample per width confirms the exact law
             lat = PolymerLattice.sample(int(w), p, rng)
-            assert _min_energy(lat, PathQuery(0, int(w))) == (w if p == 0.0 else 0)
+            energy = _min_energy(lat, PathQuery(0, int(w)))
+            if energy != (w if p == 0.0 else 0):
+                raise AssertionError(f"p={p}: width {w} has energy {energy}, not the exact law")
         label = "p=0: E(L) = L, var 0" if p == 0.0 else "p=1: E(L) = 0, var 0"
         return KpzScan(
             widths_arr, exact, np.zeros(widths_arr.size), samples, p, degenerate=label

@@ -39,9 +39,13 @@
  * itself, from the 128-bit state and increment that the Python side reads
  * from bit_generator.state, writes each bond as rng.random() < p would make
  * it, and hands back the state after the last draw, which the Python side
- * writes into bit_generator.state under its lock. Where the compiler has no
- * unsigned __int128 it multiplies in 32-bit halves, with the same results.
+ * writes into bit_generator.state under its lock. It draws a large lattice
+ * in contiguous segments on pthreads, each from its exact PCG64 state by
+ * jump-ahead, and joins them all before it returns. Where the compiler has
+ * no unsigned __int128 it multiplies in 32-bit halves, with the same
+ * results.
  */
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -639,25 +643,40 @@ static u64 xsl_rr(u128 s)
     return (x >> r) | (x << (-r & 63));
 }
 
-/* Interleaved PCG64 streams in draw_bonds: stream j makes draws j, j + 4,
+/* s advanced by k LCG steps: mult^k s + inc (mult^(k-1) + ... + 1), by
+ * squaring in O(log k) multiplies (Brown, "Random number generation with
+ * arbitrary strides", 1994), as numpy's PCG64.advance. */
+static u128 pcg_advance(u128 s, u128 inc, u64 k)
+{
+    u128 mult = PCG_MULT, plus = inc, acc_mult = {0, 1}, acc_plus = {0, 0}, zero = {0, 0};
+    for (; k; k >>= 1) {
+        if (k & 1) {
+            acc_mult = mul_add(acc_mult, mult, zero);
+            acc_plus = mul_add(acc_plus, mult, plus);
+        }
+        plus = mul_add(mult, plus, plus);
+        mult = mul_add(mult, mult, zero);
+    }
+    return mul_add(acc_mult, s, acc_plus);
+}
+
+/* Interleaved PCG64 streams in draw_segment: stream j makes draws j, j + 4,
  * ..., so the streams' multiplies overlap. */
 #define STREAMS 4
 
-/* out[i] = (draw i >> 11) < threshold for i < n, with state = {state hi,
- * state lo, increment hi, increment lo} of numpy's PCG64, then the state
- * after the last draw written back to state[0..1]. Draw i's top 53 bits
- * are the double rng.random() makes of it times 2^53, so with threshold
- * ceil(p 2^53) out is rng.random(n) < p. Stream j starts at the state of
- * draw j and steps STREAMS draws at a time by the LCG's jump-ahead:
- * s -> mult^STREAMS s + inc (mult^(STREAMS-1) + ... + 1). */
-void draw_bonds(u64 *state, u64 threshold, int64_t n, unsigned char *out)
+/* out[i] = (draw i >> 11) < threshold for i < n, n > 0, from the PCG64
+ * state s before draw 0; returns the state after the last draw. Draw i's
+ * top 53 bits are the double rng.random() makes of it times 2^53. Stream j
+ * starts at the state of draw j and steps STREAMS draws at a time by the
+ * LCG's jump-ahead: s -> mult^STREAMS s + inc (mult^(STREAMS-1) + ... + 1).
+ * The streams live in locals: through the char pointer out, a store could
+ * alias any state kept in memory. */
+static inline u128 draw_segment(u128 s, u128 inc, u64 threshold, int64_t n, unsigned char *out)
 {
-    if (n <= 0)
-        return;
-    u128 inc = {state[2], state[3]}, one = {0, 1}, zero = {0, 0};
+    u128 one = {0, 1}, zero = {0, 0};
     u128 jump = one, shift = zero, x[STREAMS];
     for (int j = 0; j < STREAMS; j++) {
-        x[j] = mul_add(j ? x[j - 1] : (u128){state[0], state[1]}, PCG_MULT, inc);
+        x[j] = mul_add(j ? x[j - 1] : s, PCG_MULT, inc);
         jump = mul_add(jump, PCG_MULT, zero);
         shift = mul_add(shift, PCG_MULT, inc);
     }
@@ -670,6 +689,65 @@ void draw_bonds(u64 *state, u64 threshold, int64_t n, unsigned char *out)
     int last = (int)(n - i) - 1;
     for (int j = 0; j <= last; j++)
         out[i + j] = (xsl_rr(x[j]) >> 11) < threshold;
-    state[0] = x[last].hi;
-    state[1] = x[last].lo;
+    return x[last];
+}
+
+/* draw_bonds splits the bonds into at most MAX_THREADS contiguous segments
+ * of at least MIN_SEGMENT draws each, and draws them on as many threads. */
+#define MAX_THREADS 8
+#define MIN_SEGMENT ((int64_t)1 << 19)
+
+/* One thread's segment, alone on its cache lines, so that no thread's
+ * writes share a line with another thread's record. */
+typedef struct {
+    _Alignas(64) u128 start; /* the state before the segment's first draw */
+    u128 inc, end;           /* end: the state after its last draw */
+    u64 threshold;
+    int64_t n;
+    unsigned char *out;
+} segment;
+
+static void *draw_thread(void *arg)
+{
+    segment *g = arg;
+    g->end = draw_segment(g->start, g->inc, g->threshold, g->n, g->out);
+    return NULL;
+}
+
+/* out[i] = (draw i >> 11) < threshold for i < n, with state = {state hi,
+ * state lo, increment hi, increment lo} of numpy's PCG64, then the state
+ * after the last draw written back to state[0..1]; with threshold
+ * ceil(p 2^53) out is rng.random(n) < p. Segment k starts from the exact
+ * state before its first draw, by jump-ahead, so the bits do not depend on
+ * threads. The calling thread draws segment 0 and every segment whose
+ * thread could not start, and joins every thread before it returns. */
+void draw_bonds(u64 *state, u64 threshold, int64_t n, unsigned char *out, int threads)
+{
+    if (n <= 0)
+        return;
+    int64_t parts = n / MIN_SEGMENT;
+    parts = parts < threads ? parts : threads;
+    parts = parts < MAX_THREADS ? parts : MAX_THREADS;
+    parts = parts > 1 ? parts : 1;
+    int64_t length = n / parts;
+    u128 s = {state[0], state[1]}, inc = {state[2], state[3]};
+    segment seg[MAX_THREADS];
+    pthread_t tid[MAX_THREADS];
+    int started[MAX_THREADS] = {0};
+    for (int k = 0; k < parts; k++) {
+        seg[k] = (segment){.start = pcg_advance(s, inc, (u64)(k * length)), .inc = inc,
+                           .threshold = threshold, .n = k + 1 < parts ? length : n - k * length,
+                           .out = out + k * length};
+        if (k > 0)
+            started[k] = pthread_create(&tid[k], NULL, draw_thread, &seg[k]) == 0;
+    }
+    draw_thread(&seg[0]);
+    for (int k = 1; k < parts; k++) {
+        if (started[k])
+            pthread_join(tid[k], NULL);
+        else
+            draw_thread(&seg[k]);
+    }
+    state[0] = seg[parts - 1].end.hi;
+    state[1] = seg[parts - 1].end.lo;
 }

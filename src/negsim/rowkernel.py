@@ -29,8 +29,12 @@ Generator runs on numpy's PCG64: the kernel steps PCG64 from the 128-bit
 state and increment read from `rng.bit_generator.state`, writes each bond as
 `rng.random() < p` makes it, and the state after the last draw is written
 back, under the bit generator's lock; the bonds and the state are numpy's.
+A large lattice is drawn in contiguous segments on up to THREADS pthreads
+(the cores this process may run on, at most 8), each segment from its exact
+PCG64 state by jump-ahead; the bits do not depend on the thread count, and
+no thread outlives the call, so processes forked later inherit none.
 
-On first import the source is compiled with `cc -O3 -shared -fPIC` into
+On first import the source is compiled with `cc -O3 -shared -fPIC -pthread` into
 `__pycache__/rowkernel-<hash>.so` beside this file (or `~/.cache/negsim/` when
 that folder is not writable), named by the hash of the source and flags; a
 later import loads that file without running the compiler. The build writes
@@ -59,7 +63,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 SOURCE = Path(__file__).with_name("rowkernel.c")
-FLAGS = ("-O3", "-shared", "-fPIC")  # -O3 vectorizes the column loops
+FLAGS = ("-O3", "-shared", "-fPIC", "-pthread")  # -O3 vectorizes the column loops
 CACHE_DIRS = (SOURCE.parent / "__pycache__", Path.home() / ".cache" / "negsim")
 
 
@@ -108,7 +112,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Declare the argument types of the calls made once per lattice, where
     they cost little: draw_bonds' count and threshold exceed a C int."""
     lib.polymer_energy.argtypes = (ctypes.c_void_p,) + (ctypes.c_int,) * 4
-    lib.draw_bonds.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p)
+    lib.draw_bonds.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int)
     lib.draw_bonds.restype = None
     return lib
 
@@ -293,6 +297,9 @@ def polymer_energy(lat, q) -> int:
 
 
 _WORD = (1 << 64) - 1
+# the threads draw_bonds may draw on: the cores this process may run on, read
+# once; rowkernel.c caps them at 8 and at one per 2^19 bonds
+THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def draw_bonds(rng, p: float, out: np.ndarray) -> None:
@@ -301,7 +308,11 @@ def draw_bonds(rng, p: float, out: np.ndarray) -> None:
     steps PCG64 from the 128-bit state and increment of
     rng.bit_generator.state, and the state after the last draw is written
     back under the bit generator's lock; has_uint32 and uinteger, which
-    random() neither reads nor writes, stay as they were."""
+    random() neither reads nor writes, stay as they were. A lattice of at
+    least 2^20 bonds is split into contiguous segments of at least 2^19,
+    one per thread up to THREADS and at most 8, each started from its exact
+    PCG64 state by jump-ahead (as PCG64.advance), so the bonds do not depend
+    on the thread count; every thread is joined before the call returns."""
     bits = rng.bit_generator
     if type(bits) is not np.random.PCG64:
         raise ValueError(f"draw_bonds steps numpy's PCG64, not {type(bits).__name__}")
@@ -314,6 +325,6 @@ def draw_bonds(rng, p: float, out: np.ndarray) -> None:
         full = bits.state
         state, inc = full["state"]["state"], full["state"]["inc"]
         words = (ctypes.c_uint64 * 4)(state >> 64, state & _WORD, inc >> 64, inc & _WORD)
-        LIB.draw_bonds(words, threshold, out.size, out.ctypes.data)
+        LIB.draw_bonds(words, threshold, out.size, out.ctypes.data, THREADS)
         full["state"]["state"] = words[0] << 64 | words[1]
         bits.state = full

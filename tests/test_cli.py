@@ -207,6 +207,7 @@ def test_polymer_command(tmp_path, capsys):
     assert main(["polymer", "--widths", "3,8", "--p", "0.3"]) == 2
     assert main(["polymer", "--widths", "16", "--p", "0.3", "--samples", "5"]) == 2
     assert main(["polymer", "--widths", "8,16", "--p", "0.3", "--samples", "1"]) == 2
+    assert main(["polymer", "--widths", "8,16", "--p", "1.5"]) == 2
 
 
 def test_permcheck_command(capsys):

@@ -187,6 +187,21 @@ def test_integer_inputs_are_checked_at_construction():
     assert PolymerLattice.sample(np.int64(8), 0.1, rng, height=np.int32(2)).measured.shape == (8, 3, 2)
 
 
+def test_bool_p_is_not_a_probability(both_paths):
+    # True compared as 1: an all-measured lattice with lat.p = True, and a
+    # scan that answered the degenerate p = 1 case
+    rng = make_rng(0)
+    before = rng.bit_generator.state
+    for p in (True, False, np.bool_(True), np.bool_(False), -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="p must be a number"):
+            PolymerLattice.sample(8, p, rng)
+        with pytest.raises(ValueError, match="p must be a number"):
+            kpz_scan([8, 16], p, 3, rng)
+    assert rng.bit_generator.state == before
+    for p in (0, 1, np.float32(0.5), np.int64(1)):
+        assert PolymerLattice.sample(8, p, rng).p == p
+
+
 def test_query_validation():
     lat = PolymerLattice.sample(8, 0.2, 1)
     with pytest.raises(ValueError):
@@ -356,6 +371,16 @@ def test_kpz_scan_degenerate_limits():
     free = kpz_scan([4, 8, 16], 1.0, samples=5, rng=1)
     assert free.degenerate is not None
     assert not free.mean_energy.any()
+
+
+def test_kpz_scan_enforces_the_exact_law(monkeypatch):
+    # an explicit raise, which python -O keeps
+    monkeypatch.setattr(polymer, "_min_energy", lambda lat, q: q.span - 2)
+    with pytest.raises(AssertionError, match="exact law"):
+        kpz_scan([4, 8], 0.0, samples=2, rng=1)
+    monkeypatch.setattr(polymer, "_min_energy", lambda lat, q: 1)
+    with pytest.raises(AssertionError, match="exact law"):
+        kpz_scan([4, 8], 1.0, samples=2, rng=1)
 
 
 def test_kpz_scan_validation():

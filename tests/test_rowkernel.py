@@ -522,6 +522,54 @@ def test_kernel_bonds_match_numpy_draw(monkeypatch, p):
         rowkernel.draw_bonds(np.random.Generator(np.random.PCG64DXSM(7)), p, np.empty(4, dtype=bool))
 
 
+# rowkernel.c's draw_bonds splits n bonds into min(THREADS, MAX_THREADS,
+# n // SEGMENT) contiguous segments, the last one taking the remainder.
+SEGMENT = 1 << 19
+MAX_THREADS = 8
+
+
+def test_split_constants_match_kernel_source():
+    source = rowkernel.SOURCE.read_text()
+    assert f"#define MIN_SEGMENT ((int64_t)1 << {SEGMENT.bit_length() - 1})" in source
+    assert f"#define MAX_THREADS {MAX_THREADS}" in source
+
+
+def split_sizes(threads):
+    """Bond counts just below the first split, and at k segments - 1, k and
+    k + 1 for k = 2 and the most segments the thread count allows; with k
+    segments of SEGMENT + 2 bonds, every segment after the first starts at
+    a draw that is not a multiple of the 4 streams."""
+    parts = min(threads, MAX_THREADS)
+    sizes = {2 * SEGMENT - 1}
+    for k in {2, parts}:
+        sizes |= {k * SEGMENT - 1, k * SEGMENT, k * SEGMENT + 1, k * SEGMENT + 2 * k + 1}
+    return sorted(sizes)
+
+
+@needs_kernel
+@pytest.mark.parametrize("threads", [1, 2, 3, 64])  # 64 starts at most MAX_THREADS
+def test_split_bonds_match_numpy_draw(monkeypatch, threads):
+    monkeypatch.setattr(rowkernel, "THREADS", threads)
+    for n in split_sizes(threads):
+        for warm in (False, True):
+            assert kernel_bonds_match_numpy(*twin_generators(n, warm), n, 0.3), (n, warm)
+    n = min(threads, MAX_THREADS, 2) * SEGMENT + 1
+    for p in (0.0, 1.0, 0.1, np.float32(0.1), np.nextafter(0.1, 0), np.nextafter(0.1, 1)):
+        for warm in (False, True):
+            assert kernel_bonds_match_numpy(*twin_generators(7, warm), n, p), (p, warm)
+
+
+@needs_kernel
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc/self/task")
+def test_no_draw_thread_outlives_the_call(monkeypatch):
+    # a process forked after the call, such as a pool worker, inherits none
+    monkeypatch.setattr(rowkernel, "THREADS", 64)
+    before = len(os.listdir("/proc/self/task"))
+    for _ in range(3):
+        rowkernel.draw_bonds(make_rng(2), 0.5, np.empty(MAX_THREADS * SEGMENT, dtype=bool))
+        assert len(os.listdir("/proc/self/task")) == before
+
+
 @needs_kernel
 def test_kernel_source_compiles_without_warnings(tmp_path):
     # the second build has no unsigned __int128 macro: draw_bonds multiplies
@@ -549,6 +597,10 @@ def test_build_without_int128_draws_the_same_bonds(tmp_path, monkeypatch):
     lat = PolymerLattice.sample(64, 0.2, rng)
     assert np.array_equal(lat.measured, ref.random((64, 33, 2)) < 0.2)
     assert rng.bit_generator.state == ref.bit_generator.state
+    # two segments: each segment's start state comes from the portable jump-ahead
+    monkeypatch.setattr(rowkernel, "THREADS", 2)
+    for n in (2 * SEGMENT - 1, 2 * SEGMENT + 5):
+        assert kernel_bonds_match_numpy(*twin_generators(n, warm=True), n, 0.3), n
 
 
 def exported_functions(c_source: str):
