@@ -277,7 +277,16 @@ def sample_two_qubit_clifford(rng: Rng) -> CliffordGate:
 # -- channel applications ----------------------------------------------------
 
 
+def _check_integers(**values) -> None:
+    """Raise ValueError naming the first value that is not an int or numpy
+    integer; a bool is none, though Python counts it as an int."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_site(state: StabilizerState, site: int):
+    _check_integers(site=site)
     if not 0 <= site < state.num_qubits:
         raise ValueError(f"site {site} out of range for L={state.num_qubits}")
 

@@ -132,7 +132,8 @@ class DenseState:
                     k_total = (k_total + dk) % 4
                 c >>= 1
                 row += 1
-            assert k_total % 2 == 0, "group element must be Hermitian"
+            if k_total % 2:
+                raise AssertionError("group element must be Hermitian")
             sign = 1.0 if k_total == 0 else -1.0
             rho += sign * pauli_matrix(acc)
         return cls(L, rho / dim)

@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import rowkernel
-from .channels import make_rng
+from .channels import _check_integers, make_rng
 
 __all__ = [
     "Permutation",
@@ -160,14 +160,6 @@ def find_intermediate_D(n: int, k: int) -> Optional[Permutation]:
 SAMPLE_CHUNK = 1 << 17  # doubles per draw in PolymerLattice.sample (1 MB)
 
 
-def _check_integers(**values) -> None:
-    """Raise ValueError naming the first value that is not an int or numpy
-    integer; a bool is none, though Python counts it as an int."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_probability(p) -> None:
     """Raise ValueError unless p is a number in [0, 1]; a bool is none, as
     in CircuitConfig, though it compares as 0 or 1."""
@@ -197,6 +189,7 @@ class PolymerLattice:
 
     def __post_init__(self):
         _check_dimensions(self.width, self.height)
+        _check_probability(self.p)
         if self.measured.shape != (self.width, self.height + 1, 2):
             raise ValueError("measured array shape mismatch")
         if self.measured.dtype != np.bool_:
@@ -274,46 +267,17 @@ def _check_query(lat: PolymerLattice, q: PathQuery) -> None:
 _INF = 1 << 30
 
 
-def _forward_dp(lat: PolymerLattice, q: PathQuery) -> int:
-    """_min_energy in numpy: the energy, or -1 when no path exists."""
-    m = lat.measured
-    best = np.full(lat.height + 1, _INF, dtype=np.int32)
-    best[0] = 0
-    for x in range(q.x_start, q.x_end):
-        new = np.full_like(best, _INF)
-        new[1:] = best[:-1] + ~m[x, :-1, 0]
-        np.minimum(new[:-1], best[1:] + ~m[x, 1:, 1], out=new[:-1])
-        best = new
-    return int(best[0]) if best[0] < _INF else -1
-
-
-def _min_energy(lat: PolymerLattice, q: PathQuery) -> int:
-    """Forward DP, energy only (in bond units, before energy_unit scaling)."""
-    _check_query(lat, q)
-    energy = _forward_dp(lat, q) if rowkernel.LIB is None else rowkernel.polymer_energy(lat, q)
-    if energy < 0:
-        raise ValueError("no feasible path (height too small for this span)")
-    return energy
-
-
-def min_path_energy(
-    lat: PolymerLattice, q: PathQuery
-) -> Tuple[float, List[Tuple[int, int]]]:
-    """Ground-state energy and one optimal path as [(x, y), ...].
-
-    Ties are broken toward smaller |y| and earlier (leftward) positions
-    first: the returned path has the lexicographically smallest depth
-    sequence among all optima.
-    """
-    _check_query(lat, q)
+def _suffix_dp(lat: PolymerLattice, q: PathQuery) -> Tuple[int, np.ndarray]:
+    """The ground-state DP in numpy, right to left: the energy in bond units
+    (-1 when no path exists) and up, where up[i, d] says whether the optimal
+    step out of (x_start + i, -d) goes up (an up-down tie goes up)."""
     m = lat.measured
     h, span = lat.height, q.span
     # Going left from i = span - 1: down[d] and climb[d] are the minimal costs
     # from (x_start + i, -d) to the end point through a down and an up step,
     # nxt[d] the smaller one (the cost from column i + 1 before the update).
-    # up[i, d] records the optimal step (an up-down tie goes up), so the path
-    # needs no (span + 1, h + 1) int32 cost table: 8 MB of bools in place of
-    # 34 MB at width 4096.
+    # up holds the steps, so the path needs no (span + 1, h + 1) int32 cost
+    # table: 8 MB of bools in place of 34 MB at width 4096.
     nxt = np.full(h + 1, _INF, dtype=np.int32)
     nxt[0] = 0
     down, climb = np.full(h + 1, _INF, dtype=np.int32), np.full(h + 1, _INF, dtype=np.int32)
@@ -324,16 +288,40 @@ def min_path_energy(
         np.add(~m[x, 1:, 1], nxt[:-1], out=climb[1:])
         np.less_equal(climb, down, out=up[i])
         np.minimum(climb, down, out=nxt)
-    if nxt[0] >= _INF:
-        raise ValueError("no feasible path (height too small for this span)")
+    return (int(nxt[0]) if nxt[0] < _INF else -1), up
 
+
+def _min_energy(lat: PolymerLattice, q: PathQuery) -> int:
+    """Ground-state energy only (in bond units, before energy_unit scaling):
+    the row kernel's left-to-right DP (rowkernel.polymer_energy), or without
+    a compiler the energy of _suffix_dp, which min_path_energy also runs."""
+    _check_query(lat, q)
+    energy = _suffix_dp(lat, q)[0] if rowkernel.LIB is None else rowkernel.polymer_energy(lat, q)
+    if energy < 0:
+        raise ValueError("no feasible path (height too small for this span)")
+    return energy
+
+
+def min_path_energy(
+    lat: PolymerLattice, q: PathQuery
+) -> Tuple[float, List[Tuple[int, int]]]:
+    """Ground-state energy and one optimal path as [(x, y), ...], from
+    _suffix_dp with or without the row kernel.
+
+    Ties are broken toward smaller |y| and earlier (leftward) positions
+    first: the returned path has the lexicographically smallest depth
+    sequence among all optima.
+    """
+    _check_query(lat, q)
+    energy, up = _suffix_dp(lat, q)
+    if energy < 0:
+        raise ValueError("no feasible path (height too small for this span)")
     path = [(q.x_start, 0)]
     d = 0
-    for i in range(span):
+    for i in range(q.span):
         d = d - 1 if up[i, d] else d + 1
         path.append((q.x_start + i + 1, -d))
-    energy = float(nxt[0]) * lat.energy_unit
-    return energy, path
+    return float(energy) * lat.energy_unit, path
 
 
 def enumerate_path_energies(lat: PolymerLattice, q: PathQuery) -> List[float]:

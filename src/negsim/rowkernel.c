@@ -660,36 +660,18 @@ static u128 pcg_advance(u128 s, u128 inc, u64 k)
     return mul_add(acc_mult, s, acc_plus);
 }
 
-/* Interleaved PCG64 streams in draw_segment: stream j makes draws j, j + 4,
- * ..., so the streams' multiplies overlap. */
-#define STREAMS 4
-
-/* out[i] = (draw i >> 11) < threshold for i < n, n > 0, from the PCG64
- * state s before draw 0; returns the state after the last draw. Draw i's
- * top 53 bits are the double rng.random() makes of it times 2^53. Stream j
- * starts at the state of draw j and steps STREAMS draws at a time by the
- * LCG's jump-ahead: s -> mult^STREAMS s + inc (mult^(STREAMS-1) + ... + 1).
- * The streams live in locals: through the char pointer out, a store could
- * alias any state kept in memory. */
+/* out[i] = (draw i >> 11) < threshold for i < n, from the PCG64 state s
+ * before draw 0; returns the state after the last draw. Draw i's top 53
+ * bits are the double rng.random() makes of it times 2^53. The state lives
+ * in a local: through the char pointer out, a store could alias any state
+ * kept in memory. */
 static inline u128 draw_segment(u128 s, u128 inc, u64 threshold, int64_t n, unsigned char *out)
 {
-    u128 one = {0, 1}, zero = {0, 0};
-    u128 jump = one, shift = zero, x[STREAMS];
-    for (int j = 0; j < STREAMS; j++) {
-        x[j] = mul_add(j ? x[j - 1] : s, PCG_MULT, inc);
-        jump = mul_add(jump, PCG_MULT, zero);
-        shift = mul_add(shift, PCG_MULT, inc);
+    for (int64_t i = 0; i < n; i++) {
+        s = mul_add(s, PCG_MULT, inc);
+        out[i] = (xsl_rr(s) >> 11) < threshold;
     }
-    int64_t i = 0;
-    for (; n - i > STREAMS; i += STREAMS)
-        for (int j = 0; j < STREAMS; j++) {
-            out[i + j] = (xsl_rr(x[j]) >> 11) < threshold;
-            x[j] = mul_add(x[j], jump, shift);
-        }
-    int last = (int)(n - i) - 1;
-    for (int j = 0; j <= last; j++)
-        out[i + j] = (xsl_rr(x[j]) >> 11) < threshold;
-    return x[last];
+    return s;
 }
 
 /* draw_bonds splits the bonds into at most MAX_THREADS contiguous segments

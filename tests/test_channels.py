@@ -234,6 +234,12 @@ def test_apply_clifford_site_checks():
         apply_clifford(s, gate, 0, 3)
     with pytest.raises(ValueError):
         apply_clifford(s, gate, 1, 1)
+    # (0.5, 1) acted on sites (0, 1) and (True, 2) on (1, 2)
+    for i, j in [(0.5, 1), (True, 2), (0, 1.0), (2, np.bool_(True))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            apply_clifford(s, gate, i, j)
+    s = apply_clifford(s, hadamard_on_first(), 0, 1)
+    assert apply_clifford(s, gate, np.int64(0), np.int32(1)) == apply_clifford(s, gate, 0, 1)
 
 
 def test_apply_clifford_matches_dense_conjugation():
@@ -423,6 +429,12 @@ def test_dephase_is_idempotent_and_checks_sites():
     assert dephase(diagonal, 1) == diagonal  # already diagonal on that site
     with pytest.raises(ValueError):
         dephase(state, 4)
+    # True read every column and dephased site 0's generator; 0.0 raised
+    # IndexError
+    for site in (True, np.bool_(False), 0.0, 1.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            dephase(state, site)
+    assert dephase(state, np.int64(1)) == dephase(state, 1)
 
 
 def test_dephase_matches_dense_kraus_on_random_states():

@@ -1,8 +1,14 @@
 """Dense reference implementation: negativity, replicas, Page averages."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from negsim import oracle
 from negsim.channels import (
     cnot_gate,
     hadamard_on_first,
@@ -26,6 +32,7 @@ from negsim.oracle import (
 )
 from negsim.circuit import CircuitConfig
 from negsim.pauli import PauliString
+from negsim.stabilizer import product_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -165,6 +172,28 @@ def test_dense_state_validation():
     broken = DenseState(1, np.array([[0.5, 0.5], [0.4, 0.5]], dtype=complex))
     assert broken.check() is not None
 
+
+
+def test_from_stabilizer_rejects_an_anti_hermitian_group_element(monkeypatch):
+    real = oracle.phase_product
+    monkeypatch.setattr(oracle, "phase_product", lambda a, b: (real(a, b)[0], 1))
+    with pytest.raises(AssertionError, match="must be Hermitian"):
+        DenseState.from_stabilizer(product_state(2))
+    # an explicit raise, which python -O keeps and a bare assert would not
+    child = (
+        "from negsim import oracle\n"
+        "from negsim.stabilizer import product_state\n"
+        "real = oracle.phase_product\n"
+        "oracle.phase_product = lambda a, b: (real(a, b)[0], 1)\n"
+        "try:\n"
+        "    oracle.DenseState.from_stabilizer(product_state(2))\n"
+        "except AssertionError as error:\n"
+        "    print(error)\n"
+    )
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env)
+    assert proc.stdout.strip() == "group element must be Hermitian", proc.stderr
 
 def test_partial_trace_and_entropy():
     bell = bell_dense()

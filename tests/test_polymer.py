@@ -189,17 +189,22 @@ def test_integer_inputs_are_checked_at_construction():
 
 def test_bool_p_is_not_a_probability(both_paths):
     # True compared as 1: an all-measured lattice with lat.p = True, and a
-    # scan that answered the degenerate p = 1 case
+    # scan that answered the degenerate p = 1 case; the constructor took
+    # these, and 5.0, without a check
     rng = make_rng(0)
     before = rng.bit_generator.state
-    for p in (True, False, np.bool_(True), np.bool_(False), -0.1, 1.5, float("nan")):
+    measured = np.zeros((8, 5, 2), dtype=bool)
+    for p in (True, False, np.bool_(True), np.bool_(False), -0.1, 1.5, 5.0, float("nan")):
         with pytest.raises(ValueError, match="p must be a number"):
             PolymerLattice.sample(8, p, rng)
         with pytest.raises(ValueError, match="p must be a number"):
             kpz_scan([8, 16], p, 3, rng)
+        with pytest.raises(ValueError, match="p must be a number"):
+            PolymerLattice(8, 4, measured, p)
     assert rng.bit_generator.state == before
     for p in (0, 1, np.float32(0.5), np.int64(1)):
         assert PolymerLattice.sample(8, p, rng).p == p
+        assert PolymerLattice(8, 4, measured, p).p == p
 
 
 def test_query_validation():

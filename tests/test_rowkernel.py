@@ -457,9 +457,9 @@ def test_polymer_kernel_checks_lattice_and_query():
             rowkernel.polymer_energy(wrong, PathQuery(0, 8))
 
 
-# Bond counts 1 .. 8 and 1001 .. 1004 leave every remainder mod the 4
-# interleaved PCG64 streams of rowkernel.c's draw_bonds, with 1 and 2 bonds
-# short of one round.
+# Bond counts 1 .. 8 and 1001 .. 1004: the shortest lattices, whose state
+# written back follows a few draws, and longer ones with every remainder
+# mod 4, the tails an unrolled draw loop in rowkernel.c would leave.
 BOND_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 1001, 1002, 1003, 1004)
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's default 128-bit multiplier
 
@@ -537,8 +537,9 @@ def test_split_constants_match_kernel_source():
 def split_sizes(threads):
     """Bond counts just below the first split, and at k segments - 1, k and
     k + 1 for k = 2 and the most segments the thread count allows; with k
-    segments of SEGMENT + 2 bonds, every segment after the first starts at
-    a draw that is not a multiple of the 4 streams."""
+    segments of SEGMENT + 2 bonds, every segment boundary falls off a power
+    of two, and the last segment's length is odd, so each jump-ahead start
+    and the last segment's tail are tried away from round counts."""
     parts = min(threads, MAX_THREADS)
     sizes = {2 * SEGMENT - 1}
     for k in {2, parts}:
