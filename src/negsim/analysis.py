@@ -20,9 +20,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .channels import _check_integers, _check_probability
 from .circuit import (
     CircuitConfig,
-    _check_field_types,
     _config_line,
     _write_lines,
     monte_carlo,
@@ -359,7 +359,13 @@ class SweepSpec:
     observables_every: int = 1
 
     def __post_init__(self):
-        _check_field_types(self)
+        # L, p and seed are checked before _cell_seed formats them; each
+        # cell's CircuitConfig checks the other fields
+        for name, values in (("L_values", self.L_values), ("p_values", self.p_values)):
+            if not isinstance(values, (list, tuple, np.ndarray)):
+                raise ValueError(f"{name} must be a list, tuple or array, got {values!r}")
+        _check_integers(seed=self.seed, **{f"L_values[{i}]": L for i, L in enumerate(self.L_values)})
+        _check_probability(**{f"p_values[{i}]": p for i, p in enumerate(self.p_values)})
         if len(self.L_values) == 0 or len(self.p_values) == 0:
             raise ValueError("L_values and p_values must be non-empty")
         # a repeated cell would run twice under one seed and be written twice;

@@ -68,9 +68,17 @@ def trajectory_rng(seed: int, trajectory_index: int) -> Rng:
 # -- uniform symplectic sampling ------------------------------------------
 
 
+def _index(value) -> int:
+    """operator.index(value), a Python int that cannot overflow; a bool
+    raises TypeError, as a float does."""
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not an integer here, got {value!r}")
+    return operator.index(value)
+
+
 def symplectic_group_order(n: int) -> int:
     """|Sp(2n, 2)| = 2^(n^2) prod_j (4^j - 1); n >= 1."""
-    n = operator.index(n)  # numpy ints too, as Python ints that cannot overflow
+    n = _index(n)
     if n < 1:
         raise ValueError(f"need n >= 1 qubits, got {n}")
     order = 1 << (n * n)
@@ -153,7 +161,7 @@ def symplectic_matrix(index: int, n: int) -> np.ndarray:
 
     Row j is the image of basis vector j in column order (x1,z1,x2,z2,...).
     """
-    index, n = operator.index(index), operator.index(n)
+    index, n = _index(index), _index(n)
     order = symplectic_group_order(n)
     if not 0 <= index < order:
         raise ValueError(f"index {index} outside [0, {order}) for n={n}")
@@ -279,10 +287,21 @@ def sample_two_qubit_clifford(rng: Rng) -> CliffordGate:
 
 def _check_integers(**values) -> None:
     """Raise ValueError naming the first value that is not an int or numpy
-    integer; a bool is none, though Python counts it as an int."""
+    integer; a bool is none, though Python counts it as an int, nor is 2.0.
+    The package's one integer check for input from outside the program."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_probability(**values) -> None:
+    """Raise ValueError naming the first value that is not an int, float or
+    numpy number in [0, 1]; a bool is none, though it compares as 0 or 1,
+    and NaN lies in no interval. The package's one probability check."""
+    for name, value in values.items():
+        real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+        if not real or not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 def _check_site(state: StabilizerState, site: int):
@@ -335,8 +354,9 @@ def _apply_layer(state, columns, gates, sites, rng: Optional[Rng] = None) -> int
     outcome bits are dropped. The runner makes one call between two results
     it needs, and `entanglement._observables` one to trace sites out.
 
-    A column, gate site, gate class or measured site out of range raises
-    ValueError before anything changes or is drawn, on either path.
+    A column, gate site, gate class or measured site that is out of range
+    or not an integer raises ValueError before anything changes or is
+    drawn, on either path.
     """
     tables = _class_tables()
     cols, sym = (gates[0], gates[1]) if gates is not None else ((), ())
@@ -345,9 +365,13 @@ def _apply_layer(state, columns, gates, sites, rng: Optional[Rng] = None) -> int
     L = state.num_qubits
     if len(sym) != len(cols):
         raise ValueError("need one gate class per gate")
-    for values, limit in ((columns, 2 * L), (cols, L - 1), (sym, len(tables)), (sites, L)):
-        if not all(0 <= v < limit for v in values):
-            raise ValueError("site, column or gate class out of range for the state")
+    checks = (("column", columns, 2 * L), ("gate_site", cols, L - 1),
+              ("gate_class", sym, len(tables)), ("site", sites, L))
+    for name, values, limit in checks:
+        for v in values:
+            _check_integers(**{name: v})
+            if not 0 <= v < limit:
+                raise ValueError("site, column or gate class out of range for the state")
     for column in columns:
         _dephase_inplace(state, column)
     if gates is not None:

@@ -21,7 +21,7 @@ from typing import Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import rowkernel
-from .channels import _apply_layer
+from .channels import _apply_layer, _check_integers
 from .gf2 import bits_to_int_rows, parity_matmul, rank_int_rows
 from .stabilizer import StabilizerState, _generator_intervals, canonicalize
 
@@ -39,18 +39,13 @@ __all__ = [
 
 
 def _sorted_sites(region: Iterable[int]) -> List[int]:
-    """The distinct sites of region as sorted ints. A site whose value is
-    not an integer (0.5, '0', None, True) raises ValueError rather than being
-    cut to one that is."""
+    """The distinct sites of region as sorted Python ints. A site that
+    `channels._check_integers` does not take (0.5, 2.0, '0', None, True)
+    raises ValueError rather than being cut to one that it does."""
     sites = set()
     for site in region:
-        try:
-            index = None if isinstance(site, (bool, np.bool_)) else int(site)
-        except (TypeError, ValueError, OverflowError):
-            index = None
-        if index is None or index != site:
-            raise ValueError(f"site {site!r} is not an integer")
-        sites.add(index)
+        _check_integers(site=site)
+        sites.add(int(site))
     return sorted(sites)
 
 
@@ -93,8 +88,7 @@ def _sites(L: int, sites: np.ndarray) -> _Sites:
     return _Sites(tuple(sites.tolist()), sites.tobytes(), columns)
 
 
-def _site_array(L: int, region: Iterable[int]) -> np.ndarray:
-    sites = _sorted_sites(region)
+def _site_array(L: int, sites: Tuple[int, ...]) -> np.ndarray:
     if sites and (sites[0] < 0 or sites[-1] >= L):
         raise ValueError("region site out of range")
     return np.asarray(sites, dtype=np.int64)
@@ -106,9 +100,10 @@ def _regions(
 ) -> Tuple[_Sites, _Sites, Tuple[int, ...]]:
     """A's and B's sites, B being the rest of the chain when region_b is
     None, and the Z and X tableau columns of the sites outside A u B, which
-    a trace-out dephases. A site that is out of range or not an integer
-    raises ValueError, and lru_cache keeps no exception, so it raises every
-    call."""
+    a trace-out dephases. Each region arrives as the sorted distinct ints of
+    `_sorted_sites`, which checks its sites before they become a key: (1.0,)
+    and (True,) hash and compare equal to (1,). A site out of range raises
+    ValueError, and lru_cache keeps no exception, so it raises every call."""
     a = _site_array(L, region_a)
     outside = np.ones(L, dtype=bool)
     outside[a] = False
@@ -155,12 +150,9 @@ def entropy(state: StabilizerState, region: Iterable[int]) -> int:
     """S_R = |R| - |G_R| with G_R the subgroup supported inside R.
 
     |G_R| = k - rank(generators restricted to the complement of R). The
-    sites of R are cached per (L, R).
+    sites of R are checked and sorted, then cached per (L, R).
     """
-    region = region if type(region) is tuple else tuple(region)
-    if any(isinstance(site, (bool, np.bool_)) for site in region):
-        _sorted_sites(region)  # raises: True == 1, so the cache would answer for site 1
-    return _observables(state, region, None)[0]
+    return _observables(state, tuple(_sorted_sites(region)), None)[0]
 
 
 def negativity(state: StabilizerState, bp: Bipartition) -> float:

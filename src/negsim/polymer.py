@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import rowkernel
-from .channels import _check_integers, make_rng
+from .channels import _check_integers, _check_probability, make_rng
 
 __all__ = [
     "Permutation",
@@ -160,13 +160,6 @@ def find_intermediate_D(n: int, k: int) -> Optional[Permutation]:
 SAMPLE_CHUNK = 1 << 17  # doubles per draw in PolymerLattice.sample (1 MB)
 
 
-def _check_probability(p) -> None:
-    """Raise ValueError unless p is a number in [0, 1]; a bool is none, as
-    in CircuitConfig, though it compares as 0 or 1."""
-    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be a number in [0, 1], got {p!r}")
-
-
 def _check_dimensions(width, height) -> None:
     _check_integers(width=width, height=height)
     if width < 1 or height < 0:
@@ -189,7 +182,7 @@ class PolymerLattice:
 
     def __post_init__(self):
         _check_dimensions(self.width, self.height)
-        _check_probability(self.p)
+        _check_probability(p=self.p)
         if self.measured.shape != (self.width, self.height + 1, 2):
             raise ValueError("measured array shape mismatch")
         if self.measured.dtype != np.bool_:
@@ -217,10 +210,10 @@ class PolymerLattice:
         bits, and no thread outlives the call. Every other bit generator,
         and a build without a compiler, draws the doubles in chunks of
         SAMPLE_CHUNK, so that no full-size float array exists. p and the
-        dimensions are checked before anything is drawn; a bool p is
-        rejected.
+        dimensions are checked before anything is drawn; a bool p, and one
+        that is not a number, is rejected.
         """
-        _check_probability(p)
+        _check_probability(p=p)
         _check_dimensions(width, 0 if height is None else height)
         if not isinstance(rng, np.random.Generator):
             rng = make_rng(rng)
@@ -422,8 +415,7 @@ def kpz_scan(widths: Sequence[int], p: float, samples: int, rng) -> KpzScan:
     if not isinstance(rng, np.random.Generator):
         rng = make_rng(rng)
     widths = list(widths)
-    if not all(isinstance(v, (int, np.integer)) for v in widths + [samples]):
-        raise ValueError(f"widths and samples must be integers, got {widths} and {samples!r}")
+    _check_integers(samples=samples, **{f"widths[{i}]": w for i, w in enumerate(widths)})
     widths_arr = np.asarray(sorted(widths), dtype=np.int64)
     if widths_arr.size == 0 or widths_arr[0] < 2:
         raise ValueError("need widths >= 2")

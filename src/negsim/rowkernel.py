@@ -195,12 +195,20 @@ _INT64 = np.dtype(np.int64)
 
 def _int64s(values) -> bytes:
     """values as int64 bytes: bytes pass through, an array goes through
-    numpy and a sequence of ints through struct (the faster one for lists)."""
+    numpy and a sequence of ints through struct (the faster one for lists).
+    A float or bool array, or a float in a sequence, raises ValueError."""
     if type(values) is bytes:
         return values
     if type(values) is np.ndarray:
-        return (values if values.dtype is _INT64 else values.astype(np.int64)).tobytes()
-    return struct.pack(f"{len(values)}q", *values) if values else b""
+        if values.dtype is _INT64:
+            return values.tobytes()
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"sites must be integers, got a {values.dtype} array")
+        return values.astype(np.int64).tobytes()
+    try:
+        return struct.pack(f"{len(values)}q", *values) if values else b""
+    except struct.error as exc:
+        raise ValueError(f"sites must be 64-bit integers ({exc})") from None
 
 
 def _checked(code: int) -> int:

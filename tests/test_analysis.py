@@ -224,7 +224,7 @@ def test_sweep_spec_rejects_repeated_cells():
     ("samples", 2.5), ("T", 4.0), ("observables_every", 2.5),
 ])
 def test_sweep_spec_rejects_wrong_types_at_construction(key, value):
-    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+    with pytest.raises(ValueError, match=rf"^{key}(\[\d+\])? must be"):
         SweepSpec(**{"L_values": [4], "p_values": [0.1], key: value})
 
 

@@ -30,8 +30,12 @@ from negsim.channels import (
     symplectic_matrix,
     trajectory_rng,
 )
+from negsim.analysis import SweepSpec
+from negsim.circuit import CircuitConfig
+from negsim.entanglement import Bipartition, entropy
 from negsim.oracle import DenseState, pauli_matrix
 from negsim.pauli import PauliString
+from negsim.polymer import PathQuery, PolymerLattice, kpz_scan
 from negsim.stabilizer import StabilizerState, product_state, purity, validate
 
 
@@ -149,6 +153,14 @@ def test_symplectic_matrix_accepts_both_ends_of_range_and_numpy_ints():
     assert symplectic_group_order(np.int64(8)) == symplectic_group_order(8)
     with pytest.raises(TypeError):
         symplectic_matrix(1.0, 1)
+    # operator.index takes True as 1: the order of Sp(2, 2) and index 1's matrix
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(TypeError):
+            symplectic_group_order(flag)
+        with pytest.raises(TypeError):
+            symplectic_matrix(flag, 1)
+        with pytest.raises(TypeError):
+            symplectic_matrix(0, flag)
 
 
 def test_symplectic_matrix_takes_no_stack_frame_per_qubit():
@@ -383,6 +395,22 @@ def test_layer_call_needs_one_class_per_gate(both_paths):
     assert state == product_state(4, signed=False)
 
 
+def test_layer_call_rejects_non_integer_sites_and_columns(both_paths):
+    # the kernel path's int64 cast read sites [0.5, 1.0] as [0, 1], a float
+    # in a column list raised struct.error, and the numpy path's range check
+    # let column 0.5 through to an IndexError
+    state = product_state(4, signed=False)
+    _apply_layer(state, [4], (np.array([0, 2]), np.array([7, 500]), None), [1])
+    rng = make_rng(5)
+    before, stream = state.copy(), rng.bit_generator.state
+    for columns, sites in [((), np.array([0.5, 1.0])), (np.array([0.5]), ()),
+                           (np.array([True]), ()), ([0.5], ())]:
+        with pytest.raises(ValueError, match="integer"):
+            _apply_layer(state, columns, None, sites, rng)
+        assert state._stab == before._stab and np.array_equal(state._cols, before._cols)
+        assert rng.bit_generator.state == stream
+
+
 @pytest.mark.parametrize("site", range(5))
 def test_z_measurement_without_rng_reports_a_random_outcome(both_paths, site):
     # the runner measures a layer with rng None and draws the random outcomes' bits after it;
@@ -482,3 +510,58 @@ def test_trajectory_rng_streams():
     b0 = trajectory_rng(42, 0).integers(1 << 30, size=4)
     assert np.array_equal(a0, b0)
     assert not np.array_equal(a0, a1)
+
+
+# -- the shared input checks ---------------------------------------------------
+
+# (entry point, whether None is its default); each takes the value under test
+INTEGER_ENTRY_POINTS = {
+    "entropy region": (lambda v: entropy(product_state(4), [1, v]), False),
+    "Bipartition": (lambda v: Bipartition([v], [3]), False),
+    "apply_clifford": (lambda v: apply_clifford(product_state(4), cnot_gate(), v, 3), False),
+    "dephase": (lambda v: dephase(product_state(4), v), False),
+    "PathQuery": (lambda v: PathQuery(v, 5), False),
+    "PolymerLattice.sample width": (lambda v: PolymerLattice.sample(v, 0.5, 0), False),
+    "PolymerLattice.sample height": (lambda v: PolymerLattice.sample(8, 0.5, 0, height=v), True),
+    "kpz_scan widths": (lambda v: kpz_scan([v, 16, 32], 0.3, 2, 2), False),
+    "kpz_scan samples": (lambda v: kpz_scan([2, 16, 32], 0.3, v, 2), False),
+    "CircuitConfig.L": (lambda v: CircuitConfig(L=v, p=0.1), False),
+    "CircuitConfig.T": (lambda v: CircuitConfig(L=4, p=0.1, T=v), True),
+    "CircuitConfig.seed": (lambda v: CircuitConfig(L=4, p=0.1, seed=v), False),
+    "CircuitConfig.samples": (lambda v: CircuitConfig(L=4, p=0.1, samples=v), False),
+    "CircuitConfig.observables_every": (
+        lambda v: CircuitConfig(L=4, p=0.1, observables_every=v), False),
+    "SweepSpec.seed": (lambda v: SweepSpec([4], [0.1], seed=v, samples=1, T=2), False),
+    "SweepSpec.L_values": (lambda v: SweepSpec([v], [0.1], samples=1, T=2), False),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_every_entry_point_takes_integers_by_one_policy(entry):
+    # entropy took 2.0 as site 2 while dephase rejected it; 2 is valid everywhere
+    call, none_is_default = INTEGER_ENTRY_POINTS[entry]
+    for value in (0.5, 2.0, True, np.bool_(True), "1") + (() if none_is_default else (None,)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(value)
+    for value in (np.int32(2), np.int64(2)):
+        call(value)
+
+
+PROBABILITY_ENTRY_POINTS = {
+    "PolymerLattice": lambda p: PolymerLattice(2, 0, np.zeros((2, 1, 2), dtype=bool), p),
+    "PolymerLattice.sample": lambda p: PolymerLattice.sample(8, p, 0),
+    "CircuitConfig.p": lambda p: CircuitConfig(L=4, p=p),
+    "SweepSpec.p_values": lambda p: SweepSpec([4], [0.1, p], samples=1, T=2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PROBABILITY_ENTRY_POINTS))
+def test_every_entry_point_takes_probabilities_by_one_policy(entry):
+    # "0.5" raised TypeError from a comparison in the polymer check, and
+    # SweepSpec's :.9g format of it "Unknown format code 'g'"
+    call = PROBABILITY_ENTRY_POINTS[entry]
+    for p in ("0.5", None, True, np.bool_(False), -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="must be a number in \\[0, 1\\]"):
+            call(p)
+    for p in (0, 1, 0.25, np.float32(0.5), np.int64(1)):
+        call(p)

@@ -89,7 +89,7 @@ def test_config_dict_round_trip_and_hash():
     ("L", "16"), ("L", 16.0), ("p", True), ("T", "64"), ("dephasing_schedule", 2),
 ])
 def test_config_from_dict_rejects_wrong_types(key, value):
-    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
         CircuitConfig.from_dict({"L": 16, "p": 0.1, key: value})
     # JSON numbers: an int is a valid float, numpy scalars are accepted
     cfg = CircuitConfig.from_dict({"L": np.int64(16), "p": 0, "T": None})
@@ -103,7 +103,7 @@ def test_config_from_dict_rejects_wrong_types(key, value):
 def test_config_rejects_wrong_types_at_construction(key, value):
     # a float stride would record at t = 5, 10, ...; a float L, T or seed
     # would fail only inside run_trajectory
-    with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
         CircuitConfig(**{"L": 8, "p": 0.1, key: value})
     with pytest.raises(ValueError, match="seed must be >= 0"):
         CircuitConfig(L=8, p=0.1, seed=-1)

@@ -399,7 +399,7 @@ def test_kpz_scan_validation():
             kpz_scan(widths, 0.3, samples=samples, rng=3)
     # an int64 cast would cut these to a scan of widths [4, 8] or 2 samples
     for widths, samples in (([4.5, 8], 4), ([8.0, 16], 4), ([8, 16], 2.5), ([8, 16], np.float64(4))):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             kpz_scan(widths, 0.3, samples=samples, rng=1)
 
 
