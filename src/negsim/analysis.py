@@ -365,6 +365,8 @@ class SweepSpec:
             if not isinstance(values, (list, tuple, np.ndarray)):
                 raise ValueError(f"{name} must be a list, tuple or array, got {values!r}")
         _check_integers(seed=self.seed, **{f"L_values[{i}]": L for i, L in enumerate(self.L_values)})
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         _check_probability(**{f"p_values[{i}]": p for i, p in enumerate(self.p_values)})
         if len(self.L_values) == 0 or len(self.p_values) == 0:
             raise ValueError("L_values and p_values must be non-empty")

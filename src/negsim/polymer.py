@@ -207,11 +207,13 @@ class PolymerLattice:
         (rowkernel.draw_bonds); a lattice of 2^20 bonds or more is drawn in
         contiguous segments on up to one thread per core (at most 8), each
         started from its exact PCG64 state by jump-ahead, with the same
-        bits, and no thread outlives the call. Every other bit generator,
-        and a build without a compiler, draws the doubles in chunks of
-        SAMPLE_CHUNK, so that no full-size float array exists. p and the
-        dimensions are checked before anything is drawn; a bool p, and one
-        that is not a number, is rejected.
+        bits, and no thread outlives the call. On a CPU with AVX-512 each
+        segment is drawn 16 PCG64 lanes at a time, each lane jumping 16
+        LCG steps per draw, again with the same bits. Every other bit
+        generator, and a build without a compiler, draws the doubles in
+        chunks of SAMPLE_CHUNK, so that no full-size float array exists. p
+        and the dimensions are checked before anything is drawn; a bool p,
+        and one that is not a number, is rejected.
         """
         _check_probability(p=p)
         _check_dimensions(width, 0 if height is None else height)
@@ -410,7 +412,10 @@ def kpz_scan(widths: Sequence[int], p: float, samples: int, rng) -> KpzScan:
 
     Mean energy is fit to s0*L + s1*L^(1/3); the variance to A*L^(2beta) in
     log-log form. At p = 0 or p = 1 the energy law is exact (E = L resp. 0)
-    with zero variance, so no fit is attempted.
+    with zero variance, so no fit is attempted. When some width's samples
+    all share one energy, its variance is 0 and has no logarithm: the mean
+    is still fit, the variance fit is left None and degenerate names the
+    widths.
     """
     if not isinstance(rng, np.random.Generator):
         rng = make_rng(rng)
@@ -456,22 +461,17 @@ def kpz_scan(widths: Sequence[int], p: float, samples: int, rng) -> KpzScan:
     lin_coef, *_ = np.linalg.lstsq(design[:, :1], mean_arr, rcond=None)
     r2_lin = _r_squared(mean_arr, design[:, :1] @ lin_coef)
 
+    scan = KpzScan(
+        widths_arr, mean_arr, var_arr, samples, p,
+        s0=s0, s1=s1, r2_mean=r2_mean, r2_mean_linear=r2_lin,
+    )
+    flat = widths_arr[var_arr == 0]
+    if flat.size:
+        scan.degenerate = f"zero sample variance at widths {flat.tolist()}: no variance fit"
+        return scan
     log_design = np.column_stack([np.log(widths_arr), np.ones(widths_arr.size)])
     log_coef, *_ = np.linalg.lstsq(log_design, np.log(var_arr), rcond=None)
-    two_beta = float(log_coef[0])
-    r2_var = _r_squared(np.log(var_arr), log_design @ log_coef)
-
-    return KpzScan(
-        widths_arr,
-        mean_arr,
-        var_arr,
-        samples,
-        p,
-        s0=s0,
-        s1=s1,
-        two_beta=two_beta,
-        var_amplitude=float(np.exp(log_coef[1])),
-        r2_mean=r2_mean,
-        r2_mean_linear=r2_lin,
-        r2_var=r2_var,
-    )
+    scan.two_beta = float(log_coef[0])
+    scan.var_amplitude = float(np.exp(log_coef[1]))
+    scan.r2_var = _r_squared(np.log(var_arr), log_design @ log_coef)
+    return scan

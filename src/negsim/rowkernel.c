@@ -32,18 +32,22 @@
  * bit generator's lock around each call.
  *
  * The library also holds polymer_energy, the ground-state DP of
- * polymer._min_energy on the bool bond lattice of a PolymerLattice. It
- * returns -2 for a query out of range before it reads the lattice; the
- * Python side checks the lattice's shape, dtype and layout. draw_bonds
- * draws that lattice for PolymerLattice.sample: it steps numpy's PCG64
- * itself, from the 128-bit state and increment that the Python side reads
- * from bit_generator.state, writes each bond as rng.random() < p would make
- * it, and hands back the state after the last draw, which the Python side
- * writes into bit_generator.state under its lock. It draws a large lattice
- * in contiguous segments on pthreads, each from its exact PCG64 state by
- * jump-ahead, and joins them all before it returns. Where the compiler has
- * no unsigned __int128 it multiplies in 32-bit halves, with the same
- * results.
+ * polymer._min_energy on the bool bond lattice of a PolymerLattice, with
+ * one array per depth parity. It returns -2 for a query out of range
+ * before it reads the lattice; the Python side checks the lattice's shape,
+ * dtype and layout. draw_bonds draws that lattice for
+ * PolymerLattice.sample: it steps numpy's PCG64 itself, from the 128-bit
+ * state and increment that the Python side reads from bit_generator.state,
+ * writes each bond as rng.random() < p would make it, and hands back the
+ * state after the last draw, which the Python side writes into
+ * bit_generator.state under its lock. It draws a large lattice in
+ * contiguous segments on pthreads, each from its exact PCG64 state by
+ * jump-ahead, and joins them all before it returns. Built by GCC on x86-64
+ * glibc and run on a CPU with AVX-512 (F, BW, VL and DQ, checked at each
+ * call), a segment is drawn 16 PCG64 lanes at a time; elsewhere, and for a
+ * segment's last n % 16 bonds, one plain loop steps the LCG once per bond.
+ * Where the compiler has no unsigned __int128 it multiplies in 32-bit
+ * halves, with the same results.
  */
 #include <pthread.h>
 #include <stdint.h>
@@ -60,6 +64,8 @@ typedef uint64_t u64;
  * are built once, for the baseline. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) && !defined(__clang__)
 #define WIDE __attribute__((target_clones("avx2", "default")))
+#define LANES __attribute__((target("avx512f,avx512bw,avx512vl,avx512dq")))
+#include <immintrin.h>
 #else
 #define WIDE
 #endif
@@ -573,37 +579,67 @@ int canonicalize(u64 *t, int L, const unsigned char *mask)
     return 0;
 }
 
+/* to[j] = max(below[j] + byte 0 of the uint32 at down + 4j, above[j] +
+ * byte 3 of the uint32 at up + 4j) for j < count, bytes in little-endian
+ * order as the mask bytes: with depths of one parity 4 bytes apart, one
+ * contiguous uint32 load per depth and side. */
+WIDE static void relax(int *restrict to, const int *below, const int *above,
+                       const unsigned char *down, const unsigned char *up, int count)
+{
+    for (int j = 0; j < count; j++) {
+        uint32_t d, u;
+        memcpy(&d, down + 4 * (size_t)j, sizeof d);
+        memcpy(&u, up + 4 * (size_t)j, sizeof u);
+        int from_above = above[j] + (int)(u >> 24), from_below = below[j] + (int)(d & 255);
+        to[j] = from_below > from_above ? from_below : from_above;
+    }
+}
+
 /* polymer._min_energy on the C-contiguous (w, h + 1, 2) bool lattice m:
  * m[x][d][0] is the bond from depth d of column x down to d + 1, m[x][d][1]
- * the one up to d - 1. best[d] holds the most measured bonds on a path from
- * (a, 0) to the current column at depth d, over the band d <= min(x - a,
- * b - x, h) that can still return to (b, 0); a column's depths all share
- * one parity, so the next column's values fill the other parity in place.
- * Returns b - a minus the count at (b, 0), -1 when no path exists, -2 for a
- * query out of range (before reading m) and -3 when out of memory. */
+ * the one up to d - 1. even[j] and odd[j] hold the most measured bonds on a
+ * path from (a, 0) to the current column at depth 2j and 2j + 1, over the
+ * band d <= min(x - a, b - x, h) that can still return to (b, 0); a
+ * column's depths all share one parity, so the next column's values fill
+ * the other array. A depth d >= 1 whose neighbours d - 1 and d + 1 are both
+ * in the band takes max(best[d - 1] + m[x][d - 1][0], best[d + 1] +
+ * m[x][d + 1][1]) in relax; depth 0 has no d - 1, and at most one depth at
+ * the band's bottom has no d + 1. Returns b - a minus the count at (b, 0),
+ * -1 when no path exists (an odd span, or h = 0), -2 for a query out of
+ * range (before reading m) and -3 when out of memory. */
 int polymer_energy(const unsigned char *m, int w, int h, int a, int b)
 {
     if (h < 0 || a < 0 || b > w || a >= b)
         return -2;
-    int top = h < (b - a) / 2 ? h : (b - a) / 2, none = -(1 << 30);
-    int *best = malloc(sizeof *best * ((size_t)top + 2));
-    if (!best)
+    int top = h < (b - a) / 2 ? h : (b - a) / 2, half = top / 2 + 1;
+    if (top == 0 || (b - a) % 2) /* a path needs depth 1 and an even span */
+        return -1;
+    int *even = malloc(sizeof *even * 2 * (size_t)half), *odd = even + half;
+    if (!even)
         return -3;
-    best[0] = 0;
+    even[0] = 0;
     for (int x = a, lim = 0; x < b; x++) {
         const unsigned char *col = m + (size_t)x * (h + 1) * 2;
         int next = x + 1 - a < b - x - 1 ? x + 1 - a : b - x - 1;
         next = next < top ? next : top;
-        for (int d = (x + 1 - a) & 1; d <= next; d += 2) {
-            int down = d >= 1 ? best[d - 1] + col[2 * d - 2] : none;
-            int up = d + 1 <= lim ? best[d + 1] + col[2 * d + 3] : none;
-            best[d] = down > up ? down : up;
+        int full = next < lim - 1 ? next : lim - 1; /* the deepest with both neighbours */
+        if ((x + 1 - a) & 1) {
+            int n = (full + 1) / 2, d = 2 * n + 1; /* odd depths 1 .. full, then d */
+            relax(odd, even, even + 1, col, col + 2, n);
+            if (d <= next)
+                odd[n] = even[n] + col[2 * d - 2];
+        } else {
+            int n = full / 2, d = 2 * n + 2; /* even depths 2 .. full, then d */
+            even[0] = odd[0] + col[3];
+            relax(even + 1, odd, odd + 1, col + 2, col + 4, n);
+            if (d <= next)
+                even[n + 1] = odd[n] + col[2 * d - 2];
         }
         lim = next;
     }
-    int count = (b - a) % 2 ? -1 : best[0];
-    free(best);
-    return count < 0 ? -1 : b - a - count;
+    int count = even[0];
+    free(even);
+    return b - a - count;
 }
 
 /* numpy's PCG64: a 128-bit LCG with numpy's default multiplier and the
@@ -660,14 +696,125 @@ static u128 pcg_advance(u128 s, u128 inc, u64 k)
     return mul_add(acc_mult, s, acc_plus);
 }
 
+#ifdef LANES
+/* 1 when the CPU runs the AVX-512 instructions draw_lanes is built for */
+static int has_lanes(void)
+{
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")
+           && __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512dq");
+}
+
+/* Eight 128-bit values, one per 64-bit lane, as four 32-bit limbs l[0..3]
+ * (least significant first), each in the low half of its lane. The high
+ * half may hold carry bits: _mm512_mul_epu32 reads only the low half,
+ * octet_bonds moves the low halves into place and _mm512_rorv_epi64 takes
+ * its count mod 64. */
+typedef struct {
+    __m512i l[4];
+} octet;
+
+/* s = a s + c mod 2^128 in every lane, for constants a and c: column k of
+ * the product sums the low halves of the limb products a_j s_(k-j), the
+ * high halves of those of column k - 1, c's limb k and the carry; ten
+ * 32 x 32 -> 64-bit multiplies, none of column 4 or above. Each column sum
+ * stays below 2^36, and its low half is limb k. */
+LANES static inline void octet_mul_add(octet *s, const octet *a, const octet *c)
+{
+    const __m512i low = _mm512_set1_epi64(0xffffffff);
+    __m512i p[4][4], t, carry;
+    for (int i = 0; i < 4; i++)
+        for (int j = 0; i + j < 4; j++)
+            p[i][j] = _mm512_mul_epu32(s->l[i], a->l[j]);
+    t = _mm512_add_epi64(p[0][0], c->l[0]);
+    s->l[0] = t;
+    carry = _mm512_srli_epi64(t, 32);
+    for (int k = 1; k < 3; k++) {
+        t = _mm512_add_epi64(carry, c->l[k]);
+        carry = _mm512_setzero_si512();
+        for (int j = 0; j <= k; j++) {
+            t = _mm512_add_epi64(t, _mm512_and_si512(p[k - j][j], low));
+            carry = _mm512_add_epi64(carry, _mm512_srli_epi64(p[k - j][j], 32));
+        }
+        s->l[k] = t;
+        carry = _mm512_add_epi64(carry, _mm512_srli_epi64(t, 32));
+    }
+    t = _mm512_add_epi64(carry, c->l[3]);
+    for (int j = 0; j < 4; j++)
+        t = _mm512_add_epi64(t, p[3 - j][j]);
+    s->l[3] = t;
+}
+
+/* The eight lanes' bits (XSL-RR output >> 11) < threshold: the output
+ * rotates (high word ^ low word) right by the top 6 bits of the state. */
+LANES static inline __mmask8 octet_bonds(const octet *s, __m512i threshold)
+{
+    __m512i x = _mm512_mask_blend_epi32(0xaaaa, _mm512_xor_si512(s->l[2], s->l[0]),
+                                        _mm512_slli_epi64(_mm512_xor_si512(s->l[3], s->l[1]), 32));
+    __m512i out = _mm512_rorv_epi64(x, _mm512_srli_epi64(s->l[3], 26));
+    return _mm512_cmplt_epu64_mask(_mm512_srli_epi64(out, 11), threshold);
+}
+
+/* The octet of v[0], ..., v[7], or with stride 0 of v[0] in every lane */
+LANES static octet to_octet(const u128 *v, int stride)
+{
+    u64 limbs[4][8];
+    for (int k = 0; k < 8; k++) {
+        u128 x = v[k * stride];
+        limbs[0][k] = x.lo & 0xffffffff;
+        limbs[1][k] = x.lo >> 32;
+        limbs[2][k] = x.hi & 0xffffffff;
+        limbs[3][k] = x.hi >> 32;
+    }
+    octet o;
+    for (int j = 0; j < 4; j++)
+        o.l[j] = _mm512_loadu_si512(limbs[j]);
+    return o;
+}
+
+/* out[i] = (draw i >> 11) < threshold for the first n - n % 16 draws from
+ * the PCG64 state s before draw 0, sixteen at a time; returns how many it
+ * drew. Lane k of the two octets holds the state draw k is made from, and
+ * every lane then jumps 16 LCG steps at once (mult^16, plus^16). */
+LANES static int64_t draw_lanes(u128 s, u128 inc, u64 threshold, int64_t n, unsigned char *out)
+{
+    u128 first[16], a = {0, 1}, c = {0, 0}, zero = {0, 0};
+    for (int k = 0; k < 16; k++) {
+        first[k] = s = mul_add(s, PCG_MULT, inc);
+        a = mul_add(a, PCG_MULT, zero);
+        c = mul_add(c, PCG_MULT, inc);
+    }
+    octet lo = to_octet(first, 1), hi = to_octet(first + 8, 1);
+    const octet jump = to_octet(&a, 0), step = to_octet(&c, 0);
+    const __m512i limit = _mm512_set1_epi64((long long)threshold);
+    const __m128i one = _mm_set1_epi8(1);
+    int64_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        __mmask16 bits = (__mmask16)(octet_bonds(&lo, limit) | octet_bonds(&hi, limit) << 8);
+        _mm_storeu_si128((__m128i *)(out + i), _mm_maskz_mov_epi8(bits, one));
+        octet_mul_add(&lo, &jump, &step);
+        octet_mul_add(&hi, &jump, &step);
+    }
+    return i;
+}
+#endif
+
 /* out[i] = (draw i >> 11) < threshold for i < n, from the PCG64 state s
  * before draw 0; returns the state after the last draw. Draw i's top 53
- * bits are the double rng.random() makes of it times 2^53. The state lives
- * in a local: through the char pointer out, a store could alias any state
- * kept in memory. */
-static inline u128 draw_segment(u128 s, u128 inc, u64 threshold, int64_t n, unsigned char *out)
+ * bits are the double rng.random() makes of it times 2^53. On a CPU with
+ * AVX-512 draw_lanes draws all but the n % 16 last bonds, and the state
+ * after them comes by jump-ahead; the plain loop, one LCG step per bond,
+ * draws the rest. The state lives in a local: through the char pointer
+ * out, a store could alias any state kept in memory. */
+static u128 draw_segment(u128 s, u128 inc, u64 threshold, int64_t n, unsigned char *out)
 {
-    for (int64_t i = 0; i < n; i++) {
+    int64_t i = 0;
+#ifdef LANES
+    if (n >= 16 && has_lanes()) {
+        i = draw_lanes(s, inc, threshold, n, out);
+        s = pcg_advance(s, inc, (u64)i);
+    }
+#endif
+    for (; i < n; i++) {
         s = mul_add(s, PCG_MULT, inc);
         out[i] = (xsl_rr(s) >> 11) < threshold;
     }

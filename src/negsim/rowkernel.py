@@ -32,7 +32,9 @@ back, under the bit generator's lock; the bonds and the state are numpy's.
 A large lattice is drawn in contiguous segments on up to THREADS pthreads
 (the cores this process may run on, at most 8), each segment from its exact
 PCG64 state by jump-ahead; the bits do not depend on the thread count, and
-no thread outlives the call, so processes forked later inherit none.
+no thread outlives the call, so processes forked later inherit none. On a
+CPU with AVX-512 each segment is drawn 16 PCG64 lanes at a time, with the
+same bits.
 
 On first import the source is compiled with `cc -O3 -shared -fPIC -pthread` into
 `__pycache__/rowkernel-<hash>.so` beside this file (or `~/.cache/negsim/` when
@@ -320,7 +322,10 @@ def draw_bonds(rng, p: float, out: np.ndarray) -> None:
     least 2^20 bonds is split into contiguous segments of at least 2^19,
     one per thread up to THREADS and at most 8, each started from its exact
     PCG64 state by jump-ahead (as PCG64.advance), so the bonds do not depend
-    on the thread count; every thread is joined before the call returns."""
+    on the thread count; every thread is joined before the call returns.
+    A GCC build on x86-64 draws 16 bonds per step on a CPU with AVX-512
+    (rowkernel.c's draw_lanes) and the last n % 16 of a segment, or all of
+    them elsewhere, one LCG step at a time; the bits are the same."""
     bits = rng.bit_generator
     if type(bits) is not np.random.PCG64:
         raise ValueError(f"draw_bonds steps numpy's PCG64, not {type(bits).__name__}")

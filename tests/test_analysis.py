@@ -207,6 +207,8 @@ def test_sweep_spec_configs():
         SweepSpec(L_values=[4, 5], p_values=[0.1])  # cells are checked up front
     with pytest.raises(ValueError, match="schedule"):
         SweepSpec(L_values=[4], p_values=[0.1], dephasing_schedule="bogus")
+    with pytest.raises(ValueError, match="seed must be >= 0"):  # as CircuitConfig says
+        SweepSpec(L_values=[4], p_values=[0.1], seed=-1)
 
 
 def test_sweep_spec_rejects_repeated_cells():

@@ -83,6 +83,8 @@ BAD_INPUTS = {
         "cfg.json", json.dumps({"L": "16", "p": 0.1}),
         ["run", "--config", "{path}", "--out", "{out}"],
     ),
+    "sweep_negative_seed": ("cfg.json", "", ["sweep", "--L", "4", "--p", "0.1", "--seed", "-1",
+                                             "--out", "{out}"]),
     "run_negative_seed": (
         "cfg.json", json.dumps({"L": 8, "p": 0.1, "seed": -1}),
         ["run", "--config", "{path}", "--out", "{out}"],
@@ -203,6 +205,11 @@ def test_polymer_command(tmp_path, capsys):
     code = main(["polymer", "--widths", "4,8", "--p", "0.0", "--samples", "2"])
     assert code == 0
     assert "# degenerate" in capsys.readouterr().out
+    # a width whose samples share one energy has no variance fit
+    code = main(["polymer", "--widths", "16,32", "--p", "0.3", "--samples", "2", "--seed", "1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "# degenerate: zero sample variance at widths [16]" in out and "# fit" not in out
 
     assert main(["polymer", "--widths", "3,8", "--p", "0.3"]) == 2
     assert main(["polymer", "--widths", "16", "--p", "0.3", "--samples", "5"]) == 2

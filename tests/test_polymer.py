@@ -1,6 +1,7 @@
 """Permutation algebra, directed-polymer DP, and domain-wall free energies."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,18 @@ def test_kpz_scan_validation():
     for widths, samples in (([4.5, 8], 4), ([8.0, 16], 4), ([8, 16], 2.5), ([8, 16], np.float64(4))):
         with pytest.raises(ValueError, match="must be an integer"):
             kpz_scan(widths, 0.3, samples=samples, rng=1)
+
+
+def test_kpz_scan_zero_variance_width_leaves_the_variance_fit_out():
+    # both width-16 samples of this seed have energy 8: log(0) gave a NaN
+    # slope, r2_var = 1.0 and three RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = kpz_scan([16, 32], 0.3, 2, 1)
+    assert scan.var_energy[0] == 0 and scan.var_energy[1] > 0
+    assert scan.degenerate is not None and "[16]" in scan.degenerate
+    assert scan.two_beta is None and scan.var_amplitude is None and scan.r2_var is None
+    assert scan.s0 is not None and scan.s1 is not None and scan.r2_mean is not None
 
 
 def test_kpz_scan_fits_small():

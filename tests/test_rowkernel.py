@@ -459,8 +459,10 @@ def test_polymer_kernel_checks_lattice_and_query():
 
 # Bond counts 1 .. 8 and 1001 .. 1004: the shortest lattices, whose state
 # written back follows a few draws, and longer ones with every remainder
-# mod 4, the tails an unrolled draw loop in rowkernel.c would leave.
-BOND_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 1001, 1002, 1003, 1004)
+# mod 4, the tails an unrolled draw loop in rowkernel.c would leave; and
+# counts on either side of one and two steps of its 16-lane loop, where the
+# plain loop draws the tail from the jumped-ahead state.
+BOND_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 31, 32, 33, 1001, 1002, 1003, 1004)
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's default 128-bit multiplier
 
 
@@ -571,11 +573,16 @@ def test_no_draw_thread_outlives_the_call(monkeypatch):
         assert len(os.listdir("/proc/self/task")) == before
 
 
+# A build that the compiler takes for clang's leaves out the code GCC on
+# x86-64 alone gets: the AVX2 clones and draw_bonds' AVX-512 lane loop.
+PLAIN_LOOP = ("-D__clang__",)
+
+
 @needs_kernel
 def test_kernel_source_compiles_without_warnings(tmp_path):
     # the second build has no unsigned __int128 macro: draw_bonds multiplies
-    # in 32-bit halves there
-    for extra in ((), ("-U__SIZEOF_INT128__",)):
+    # in 32-bit halves there; the third draws every bond in the plain loop
+    for extra in ((), ("-U__SIZEOF_INT128__",), PLAIN_LOOP):
         proc = subprocess.run(
             ["cc", *rowkernel.FLAGS, *extra, "-Wall", "-Wextra", "-o", str(tmp_path / "k.so"),
              str(rowkernel.SOURCE)],
@@ -584,13 +591,18 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         assert proc.returncode == 0 and proc.stderr == "", (extra, proc.stderr)
 
 
+def use_build(tmp_path, monkeypatch, extra):
+    """Build the kernel with the extra flags into tmp_path and draw from it."""
+    monkeypatch.setattr(rowkernel, "FLAGS", rowkernel.FLAGS + extra)
+    monkeypatch.setattr(rowkernel, "CACHE_DIRS", (tmp_path,))
+    lib = rowkernel.load()
+    assert lib is not None and len(list(tmp_path.glob("rowkernel-*.so"))) == 1
+    monkeypatch.setattr(rowkernel, "LIB", lib)
+
+
 @needs_kernel
 def test_build_without_int128_draws_the_same_bonds(tmp_path, monkeypatch):
-    monkeypatch.setattr(rowkernel, "FLAGS", rowkernel.FLAGS + ("-U__SIZEOF_INT128__",))
-    monkeypatch.setattr(rowkernel, "CACHE_DIRS", (tmp_path,))
-    portable = rowkernel.load()
-    assert portable is not None and len(list(tmp_path.glob("rowkernel-*.so"))) == 1
-    monkeypatch.setattr(rowkernel, "LIB", portable)
+    use_build(tmp_path, monkeypatch, ("-U__SIZEOF_INT128__",))
     for n in BOND_COUNTS:
         for p in (0.0, 1.0, 0.3):
             assert kernel_bonds_match_numpy(*twin_generators(n, warm=n % 2), n, p), (n, p)
@@ -602,6 +614,21 @@ def test_build_without_int128_draws_the_same_bonds(tmp_path, monkeypatch):
     monkeypatch.setattr(rowkernel, "THREADS", 2)
     for n in (2 * SEGMENT - 1, 2 * SEGMENT + 5):
         assert kernel_bonds_match_numpy(*twin_generators(n, warm=True), n, 0.3), n
+
+
+@needs_kernel
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_without_lanes_draws_the_same_bonds(tmp_path, monkeypatch, threads):
+    # on a CPU with AVX-512 the default build draws all but each segment's
+    # last n % 16 bonds in its lane loop; this build draws them all in the
+    # plain loop, here across and past the first split at 2^20 bonds
+    use_build(tmp_path, monkeypatch, PLAIN_LOOP)
+    monkeypatch.setattr(rowkernel, "THREADS", threads)
+    for n in BOND_COUNTS + (2 * SEGMENT - 1, 2 * SEGMENT + 5):
+        for warm in (False, True):
+            assert kernel_bonds_match_numpy(*twin_generators(n, warm), n, 0.3), (n, warm)
+    for p in (0.0, 1.0, np.nextafter(0.1, 0)):
+        assert kernel_bonds_match_numpy(*twin_generators(7), 2 * SEGMENT + 1, p), p
 
 
 def exported_functions(c_source: str):
