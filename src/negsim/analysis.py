@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -445,7 +444,11 @@ def _curves(points: Iterable[Tuple[int, float, float, float]]) -> List[Curve]:
 
 def _pool(threads: int):
     """One process pool for a whole sweep or figure, or none for threads <= 1."""
-    return ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    if threads <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=threads)
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:

@@ -8,15 +8,15 @@ bipartition on a layer stride.
 Seeding contract: trajectory i draws from SeedSequence(seed, spawn_key=(i,)),
 and aggregation is done in trajectory order, so results are bit-identical
 for any worker count. The draw order is part of the contract; `_layer_ops`
-owns it, and both `run_trajectory` and `oracle.replay_trajectory` walk it.
-A layer's Z measurements are one op: the runner measures its sites, then
-draws the bits of the random outcomes among them in one batch, and the
-dense replay draws each bit as it measures; both leave the stream in the
-same state. The runner applies the ops it has buffered in one
-`channels._apply_layer` call per flush: at each measure op, at each record
-and at the end. With the row kernel built, the layer's draws and the
-outcome bits are made in C from the trajectory's own bit generator, with
-numpy's algorithms, so they are the same numbers.
+owns it, and `oracle.replay_trajectory` and the runner's reference loop
+walk it. A layer's Z measurements are one op: the runner measures its
+sites, then draws the bits of the random outcomes among them in one batch,
+and the dense replay draws each bit as it measures; both leave the stream
+in the same state. With the row kernel built, `run_trajectory` is one
+`rowkernel.run_trajectory` call, which makes the same draws, with numpy's
+algorithms, and the same tableau updates in C. Without it, the reference
+loop applies the ops of `_layer_ops` through one `channels._apply_layer`
+call per flush: at each measure op, at each record and at the end.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,12 +39,16 @@ from .channels import (  # noqa: F401
     _apply_tables_inplace,
     _check_integers,
     _check_probability,
+    _class_tables,
     _dephase_inplace,
     _measure_z_inplace,
     trajectory_rng,
 )
-from .entanglement import Bipartition, ObservableRecord, record_observables
+from .entanglement import Bipartition, ObservableRecord, _check_bound, record_observables
 from .stabilizer import StabilizerState, product_state
+
+if TYPE_CHECKING:  # a pool is imported where one starts
+    from concurrent.futures import Executor
 
 __all__ = [
     "CircuitConfig",
@@ -58,6 +61,7 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
+MAX_L = 32766  # the largest even L whose records (each at most L) fit int16
 _SCHEDULE_RE = re.compile(r"random_sites(?:\(([0-9]+)\)|:([0-9]+))")
 
 
@@ -86,6 +90,8 @@ class CircuitConfig:
             raise ValueError("seed must be >= 0")
         if self.L < 2 or self.L % 2:
             raise ValueError("L must be even and >= 2")
+        if self.L > MAX_L:
+            raise ValueError(f"L must be <= {MAX_L}, so that every record fits int16")
         if self.T is not None and self.T < 1:
             raise ValueError("T must be >= 1")
         if self.samples < 1:
@@ -128,17 +134,34 @@ class CircuitConfig:
         return _digest(json.dumps(self.to_dict(), sort_keys=True))
 
 
-@dataclass
+def _observable_table(counts: np.ndarray) -> np.ndarray:
+    """The float64 (..., 6) table, in ObservableRecord.FIELDS order, of
+    int16 (..., 4) half-cut records (S_A, S_B, S_AB, 2E): E = 2E / 2,
+    I = S_A + S_B - S_AB and purity_log2 = k - L = -S_AB, since the halves
+    cover the chain."""
+    c = counts.astype(np.float64)
+    s_a, s_b, s_ab, two_e = np.moveaxis(c, -1, 0)
+    return np.stack([s_a, s_b, s_ab, two_e / 2.0, s_a + s_b - s_ab, 0.0 - s_ab], axis=-1)  # not -0.0
+
+
+@dataclass(slots=True)
 class TrajectoryResult:
     """One trajectory's records as two arrays: `times` (n,) int64 and
-    `observables` (n, 6) float64 in ObservableRecord.FIELDS order.
-    `run_trajectory` returns a read-only `times` that every trajectory with
-    the same record times shares."""
+    `counts` (n, 4) int16, the half cut's (S_A, S_B, S_AB, 2E). The float64
+    (n, 6) table in ObservableRecord.FIELDS order is built from them on
+    each read of `observables` or `table()`, so a kept result holds a sixth
+    of its bytes. `run_trajectory` returns a read-only `times` that every
+    trajectory with the same T and stride shares."""
 
     trajectory_id: int
     times: np.ndarray
-    observables: np.ndarray
+    counts: np.ndarray
     final_state: Optional[StabilizerState] = None
+
+    @property
+    def observables(self) -> np.ndarray:
+        """A fresh (n, 6) float64 table of the records."""
+        return _observable_table(self.counts)
 
     @property
     def records(self) -> List[ObservableRecord]:
@@ -149,7 +172,7 @@ class TrajectoryResult:
         ]
 
     def table(self) -> np.ndarray:
-        """The (n_times, 6) observables array itself, not a copy."""
+        """The (n_times, 6) observables table, built on each call."""
         return self.observables
 
     def series(self, name: str) -> np.ndarray:
@@ -168,6 +191,13 @@ def _numpy_site_draws(rng: np.random.Generator, L: int, m: int) -> List[int]:
     """random_sites(m)'s sites by numpy's own call, the reference for
     rowkernel.draw_sites."""
     return sorted(rng.choice(L, size=m, replace=False).tolist())
+
+
+def _floyd_choice(L: int, m: int) -> bool:
+    """Whether numpy draws choice(L, m, replace=False) by Floyd's algorithm,
+    which rowkernel.draw_sites makes: all but L > 10000 with m > L // 50,
+    where numpy shuffles a tail of range(L) instead."""
+    return not (L > 10000 and m > L // 50)
 
 
 def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
@@ -204,7 +234,7 @@ def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
         if rowkernel.LIB is not None
         else (_numpy_layer_draws, _numpy_site_draws)
     )
-    if L > 10000 and param > L // 50:  # numpy's choice shuffles a tail here, not Floyd
+    if not _floyd_choice(L, param):
         draw_sites = _numpy_site_draws
     for t in range(1, T + 1):
         cols = bricks[t % 2]
@@ -225,9 +255,10 @@ def _layer_ops(cfg: CircuitConfig, rng: np.random.Generator):
 
 
 @lru_cache(maxsize=64)
-def _shared_times(times: Tuple[int, ...]) -> np.ndarray:
-    """One read-only int64 array per distinct tuple of record times."""
-    out = np.array(times, dtype=np.int64)
+def _shared_times(T: int, stride: int) -> np.ndarray:
+    """One read-only int64 array of record times per (T, stride): every
+    stride layers and at T."""
+    out = np.array([t for t in range(1, T + 1) if t % stride == 0 or t == T], dtype=np.int64)
     out.flags.writeable = False
     return out
 
@@ -235,18 +266,42 @@ def _shared_times(times: Tuple[int, ...]) -> np.ndarray:
 def run_trajectory(
     cfg: CircuitConfig, trajectory_index: int = 0, keep_final_state: bool = False
 ) -> TrajectoryResult:
-    """One trajectory of cfg. The ops of `_layer_ops` are buffered and
+    """One trajectory of cfg. With the row kernel built this is one
+    `rowkernel.run_trajectory` call, and `entanglement._check_bound` then
+    warns for any record with 2E > I. The reference loop `_run_ops` serves
+    builds without a compiler, and random_sites(m) with L > 10000 and
+    m > L // 50, where numpy's choice is not Floyd's algorithm."""
+    rng = trajectory_rng(cfg.seed, trajectory_index)
+    state = product_state(cfg.L, signed=False)  # no recorded observable reads a sign
+    times = _shared_times(cfg.steps, cfg.observables_every)
+    bath, param = cfg.schedule()
+    if rowkernel.LIB is not None and _floyd_choice(cfg.L, param):  # a boundary param is 1 or 2
+        every, m = (param, 0) if bath == "boundary" else (0, param)
+        counts = rowkernel.run_trajectory(
+            state, _class_tables(), rng, cfg.steps, cfg.p, every, m, cfg.observables_every
+        )
+        _check_bound(counts, times)
+    else:
+        counts = _run_ops(cfg, rng, state)
+    return TrajectoryResult(
+        trajectory_id=trajectory_index,
+        times=times,
+        counts=counts,
+        final_state=state if keep_final_state else None,
+    )
+
+
+def _run_ops(cfg: CircuitConfig, rng: np.random.Generator, state: StabilizerState) -> np.ndarray:
+    """The reference runner: the ops of `_layer_ops` on state, buffered and
     applied by one `_apply_layer` call wherever a result is needed: at a
     layer's measure op (its random outcomes decide the bits to draw), at a
     record, and at the end. A call makes pending dephasing, then gates, then
     measurements, so gates still pending when the next gates or dephase op
-    comes (their layer measured no site) are flushed first."""
-    rng = trajectory_rng(cfg.seed, trajectory_index)
-    state = product_state(cfg.L, signed=False)  # no recorded observable reads a sign
+    comes (their layer measured no site) are flushed first. Returns the
+    int16 (n, 4) records (S_A, S_B, S_AB, 2E), each from
+    `record_observables`."""
     bp = Bipartition.contiguous_halves(cfg.L)
-
-    times: List[int] = []
-    rows: List[Tuple[float, ...]] = []
+    rows: List[Tuple[int, int, int, int]] = []
     columns: List[int] = []  # dephasing columns not yet applied
     gates = None  # a gates payload not yet applied
     for t, kind, arg in _layer_ops(cfg, rng):
@@ -263,16 +318,10 @@ def run_trajectory(
             columns.append(arg)
         else:
             rec = record_observables(state, bp, t)
-            times.append(rec.time)
-            rows.append(rec.values())
+            rows.append((rec.S_A, rec.S_B, rec.S_AB, int(2 * rec.E)))
     if columns or gates is not None:
         _apply_layer(state, columns, gates, ())
-    return TrajectoryResult(
-        trajectory_id=trajectory_index,
-        times=_shared_times(tuple(times)),
-        observables=np.asarray(rows, dtype=np.float64).reshape(len(rows), len(ObservableRecord.FIELDS)),
-        final_state=state if keep_final_state else None,
-    )
+    return np.array(rows, dtype=np.int16).reshape(len(rows), 4)
 
 
 @dataclass(frozen=True)
@@ -302,9 +351,10 @@ class MonteCarloResult:
 
 
 def _trajectory_table(args) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(index, times, int16 counts) of one trajectory: what a pool sends back."""
     cfg, index = args
     result = run_trajectory(cfg, index)
-    return index, result.times, result.table()
+    return index, result.times, result.counts
 
 
 def monte_carlo(
@@ -319,18 +369,19 @@ def monte_carlo(
     jobs = [(cfg, i) for i in range(cfg.samples)]
     if threads > 1 and cfg.samples > 1:
         chunk = max(1, cfg.samples // (4 * threads))
-        pool = executor or ProcessPoolExecutor(max_workers=threads)
-        try:
-            raw = list(pool.map(_trajectory_table, jobs, chunksize=chunk))
-        finally:
-            if executor is None:
-                pool.shutdown()
+        if executor is not None:
+            raw = list(executor.map(_trajectory_table, jobs, chunksize=chunk))
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                raw = list(pool.map(_trajectory_table, jobs, chunksize=chunk))
         raw.sort(key=lambda item: item[0])
     else:
         raw = [_trajectory_table(job) for job in jobs]
 
     times = raw[0][1]
-    stack = np.stack([table for _, _, table in raw])  # (samples, n_times, 6)
+    stack = _observable_table(np.stack([counts for _, _, counts in raw]))  # (samples, n_times, 6)
     n = cfg.samples
     mean = stack.mean(axis=0)
     if n > 1:

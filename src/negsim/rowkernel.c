@@ -6,17 +6,21 @@
  * form pair j. The stabilizer mask (bit j set when pair j holds a
  * stabilizer) arrives as the little-endian bytes of a Python int, S words.
  *
- * apply_layer is the one tableau update: a runner flush's dephasing, gates
- * and Z measurements, or entanglement's trace-out, in one call. It makes the
- * row operations of the numpy code it stands in for
+ * run_trajectory runs a whole trajectory of circuit.run_trajectory in one
+ * call: circuit._layer_ops' draws, gates, Z measurements and dephasing, in
+ * its order, and an int16 record of the half cut every stride layers.
+ * apply_layer is the one tableau update of the reference loop: a flush's
+ * dephasing, gates and Z measurements, or entanglement's trace-out, in one
+ * call. Both make the row operations of the numpy code they stand in for
  * (channels._dephase_inplace, channels._apply_tables_inplace and
  * stabilizer._collapse_rows), in the same order, so both leave the same
  * bits; measure and _collapse_rows have the same one tail for cases (b)
  * and (c). A measurement's or a dephasing's row products take one pass
  * over the columns (update_rows): per block of 64 columns the source row's
  * bits are read once, then each word holding a cleared or target row is
- * updated. record_ranks, the only rank call, reads the tableau: the three
- * ranks behind every entropy, negativity and record of negsim.entanglement.
+ * updated. record_ranks reads the tableau: the three ranks behind every
+ * entropy, negativity and record of negsim.entanglement, which
+ * run_trajectory's records take from the same code.
  * canonicalize runs stabilizer.canonicalize's two sweeps on an unsigned
  * state with the row-int code's row operations in its order. Nothing here
  * reads or writes a sign. A site, column, gate class or stabilizer pair out
@@ -24,12 +28,12 @@
  * side checks the tableau's shape and dtype and the length of every byte
  * argument.
  *
- * draw_layer, draw_sites and apply_layer's outcome bits draw from a
- * trajectory's numpy.random.Generator through its bitgen_t, the struct of
- * function pointers numpy's own C draws from, with numpy's algorithms: the
- * same values, and the bit generator left in the same state, as the
- * Generator calls that circuit._layer_ops names. The Python side holds the
- * bit generator's lock around each call.
+ * draw_layer, draw_sites, apply_layer's outcome bits and run_trajectory
+ * draw from a trajectory's numpy.random.Generator through its bitgen_t,
+ * the struct of function pointers numpy's own C draws from, with numpy's
+ * algorithms: the same values, and the bit generator left in the same
+ * state, as the Generator calls that circuit._layer_ops names. The Python
+ * side holds the bit generator's lock around each call.
  *
  * The library also holds polymer_energy, the ground-state DP of
  * polymer._min_energy on the bool bond lattice of a PolymerLattice, with
@@ -435,6 +439,15 @@ static int negativity_on(const u64 *t, int L, const u64 *stab, const unsigned ch
  * They serve any A and B once the sites outside A u B are traced out, and
  * entropy as A = R, B = the rest of the chain. Returns 0, -1 when out of
  * memory, or -2 before it reads the tableau when a site is out of range. */
+static int ranks(const u64 *t, int L, const u64 *stab, const unsigned char *region,
+                 int nregion, const unsigned char *rest, int nrest, int *out)
+{
+    out[0] = rank_on(t, L, stab, rest, nrest);
+    out[1] = rank_on(t, L, stab, region, nregion);
+    out[2] = negativity_on(t, L, stab, region, nregion);
+    return out[0] < 0 || out[1] < 0 || out[2] < 0 ? -1 : 0;
+}
+
 int record_ranks(const u64 *t, int L, const unsigned char *mask, const unsigned char *region,
                  int nregion, const unsigned char *rest, int nrest, int *out)
 {
@@ -443,10 +456,72 @@ int record_ranks(const u64 *t, int L, const unsigned char *mask, const unsigned 
         return -2;
     u64 stab[S];
     load_mask(mask, S, stab);
-    out[0] = rank_on(t, L, stab, rest, nrest);
-    out[1] = rank_on(t, L, stab, region, nregion);
-    out[2] = negativity_on(t, L, stab, region, nregion);
-    return out[0] < 0 || out[1] < 0 || out[2] < 0 ? -1 : 0;
+    return ranks(t, L, stab, region, nregion, rest, nrest, out);
+}
+
+/* One trajectory of circuit.run_trajectory from the state t, mask on T
+ * layers, drawing from g in circuit._layer_ops' order. Layer l = 1..T:
+ * draw_layer's draws for the gates on (c, c + 1), c = 0, 2, .. on odd l and
+ * 1, 3, .. on even l; the gates; Z measurements on the sites drawn, then
+ * one outcome bit per random outcome; dephasing of sites 0 and L - 1 when
+ * every > 0 and l % every == 0, else of the m sites of draw_sites when
+ * m > 0. Every stride layers and at T, the half cut A = [0, L/2),
+ * B = [L/2, L) gets a record of 4 int16 in out: S_A, S_B, S_AB and 2E,
+ * from ranks as entanglement._observables reads them. The mask bytes are
+ * updated in place. Returns 0, -1 when out of memory, or -2 before it
+ * changes or draws anything when an argument is out of range. */
+int run_trajectory(u64 *t, int L, unsigned char *mask, const u64 *tables, bitgen_t *g,
+                   int T, double p, int every, int m, int stride, int16_t *out)
+{
+    int S = (L + 63) / 64, half = L / 2, code = 0, r[3];
+    if (L < 2 || L & 1 || L > 32766 || T < 1 || !(p >= 0 && p <= 1) || every < 0 || m < 0
+        || m > L || stride < 1)
+        return -2;
+    int64_t *drawn = malloc(sizeof *drawn * (2 * (size_t)half + L));
+    int64_t *sites = malloc(sizeof *sites * (size_t)L);
+    if (!drawn || !sites) {
+        free(drawn);
+        free(sites);
+        return -1;
+    }
+    for (int s = 0; s < L; s++)
+        sites[s] = s; /* A's sites, then B's */
+    const unsigned char *a = (const unsigned char *)sites, *b = (const unsigned char *)(sites + half);
+    u64 stab[S];
+    load_mask(mask, S, stab);
+    for (int l = 1; l <= T && code == 0; l++) {
+        int first = l % 2 ? 0 : 1, n = (L - first) / 2, random = 0;
+        int hit = draw_layer(g, n, L, p, drawn);
+        for (int i = 0; i < n; i++)
+            gate(t, L, tables + 16 * drawn[i], first + 2 * i, first + 2 * i + 1);
+        for (int i = 0; i < hit; i++)
+            random += measure(t, L, stab, (int)drawn[2 * n + i]);
+        for (int i = 0; i < random; i++)
+            bounded(g, 1);
+        if (every > 0 && l % every == 0) {
+            dephase_column(t, L, stab, 0);
+            dephase_column(t, L, stab, L - 1);
+        } else if (every == 0 && m > 0) {
+            draw_sites(g, L, m, drawn);
+            for (int i = 0; i < m; i++)
+                dephase_column(t, L, stab, (int)drawn[i]);
+        }
+        if (l % stride == 0 || l == T) {
+            int k = 0;
+            for (int w = 0; w < S; w++)
+                k += __builtin_popcountll(stab[w]);
+            code = ranks(t, L, stab, a, half, b, half, r);
+            out[0] = (int16_t)(half - (k - r[0]));
+            out[1] = (int16_t)(half - (k - r[1]));
+            out[2] = (int16_t)(L - k);
+            out[3] = (int16_t)r[2];
+            out += 4;
+        }
+    }
+    memcpy(mask, stab, sizeof stab);
+    free(drawn);
+    free(sites);
+    return code;
 }
 
 /* Row r of the tableau as an n-bit bitset, bit c = column c. */

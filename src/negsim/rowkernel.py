@@ -4,20 +4,25 @@ the polymer DP.
 rowkernel.c makes, on the column-packed tableau of negsim.stabilizer, the
 same row operations as the numpy code it stands in for, so both leave
 bit-identical tableaux. It serves these calls, each behind one dispatch line:
-- `channels._apply_layer`, the one tableau update, on unsigned states: pending
-  dephasing columns, a brickwork layer's gates (as class indices into
-  `channels._class_tables()`) and the layer's Z measurements for the
-  runner's flushes, and the dephasing columns of `entanglement._observables`'
-  trace-out;
+- `circuit.run_trajectory`, a whole trajectory in one `run_trajectory` call:
+  the draws, gates, measurements and dephasing of `circuit._layer_ops`, in
+  its order, and every record of the half cut as int16 (S_A, S_B, S_AB, 2E)
+  from the same ranks as `record_ranks`;
+- `channels._apply_layer`, the one tableau update of the reference loop, on
+  unsigned states: pending dephasing columns, a brickwork layer's gates (as
+  class indices into `channels._class_tables()`) and the layer's Z
+  measurements for its flushes, and the dephasing columns of
+  `entanglement._observables`' trace-out;
 - `entanglement._ranks`, the three GF(2) ranks behind every entropy,
   negativity and record, in one `record_ranks` call on any state (no rank
   reads a sign);
 - `circuit._layer_ops`' draws: `draw_layer` (a layer's gate classes, sign
   bits and measured sites) and `draw_sites` (the sites of
-  `random_sites(m)`), and `apply_layer`'s outcome bits. They draw through
-  numpy's `bitgen_t` interface from the trajectory's own Generator, with
-  numpy's algorithms, so they give the Generator calls' values and leave its
-  bit generator in the same state; each call holds the bit generator's lock;
+  `random_sites(m)`), and `apply_layer`'s outcome bits. They, and
+  `run_trajectory`, draw through numpy's `bitgen_t` interface from the
+  trajectory's own Generator, with numpy's algorithms, so they give the
+  Generator calls' values and leave its bit generator in the same state;
+  each call holds the bit generator's lock;
 - `stabilizer.canonicalize` on unsigned states (`canonicalize`, on a copy):
   the row-int code's two sweeps with the same row operations in the same
   order, on the stabilizer and destabilizer rows copied into row bitsets,
@@ -111,9 +116,14 @@ def _remove_older_builds(path: Path) -> None:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare the argument types of the calls made once per lattice, where
-    they cost little: draw_bonds' count and threshold exceed a C int."""
+    """Declare the argument types of the calls made once per lattice or
+    trajectory, where they cost little: draw_bonds' count and threshold
+    exceed a C int."""
     lib.polymer_energy.argtypes = (ctypes.c_void_p,) + (ctypes.c_int,) * 4
+    lib.run_trajectory.argtypes = (
+        (ctypes.c_void_p, ctypes.c_int) + (ctypes.c_void_p,) * 3
+        + (ctypes.c_int, ctypes.c_double) + (ctypes.c_int,) * 3 + (ctypes.c_void_p,)
+    )
     lib.draw_bonds.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int)
     lib.draw_bonds.restype = None
     return lib
@@ -198,7 +208,8 @@ _INT64 = np.dtype(np.int64)
 def _int64s(values) -> bytes:
     """values as int64 bytes: bytes pass through, an array goes through
     numpy and a sequence of ints through struct (the faster one for lists).
-    A float or bool array, or a float in a sequence, raises ValueError."""
+    A float or bool array, or a float or bool in a sequence, raises
+    ValueError."""
     if type(values) is bytes:
         return values
     if type(values) is np.ndarray:
@@ -207,6 +218,8 @@ def _int64s(values) -> bytes:
         if values.dtype.kind not in "iu":
             raise ValueError(f"sites must be integers, got a {values.dtype} array")
         return values.astype(np.int64).tobytes()
+    if any(type(v) is bool for v in values):  # struct packs True as 1
+        raise ValueError("sites must be integers, got a bool")
     try:
         return struct.pack(f"{len(values)}q", *values) if values else b""
     except struct.error as exc:
@@ -240,6 +253,28 @@ def apply_layer(state, tables, columns, gate_sites, classes, sites, rng=None) ->
         ))
     state._stab = int.from_bytes(mask.raw, "little")
     return n
+
+
+def run_trajectory(state, tables, rng, T: int, p: float, every: int, m: int, stride: int) -> np.ndarray:
+    """T layers of circuit._layer_ops on the unsigned state, in place, with
+    every draw from rng in that generator's order, in one call: the
+    boundary sites dephased every `every` layers, or m sites drawn per
+    layer when every is 0. Returns the (n, 4) int16 records (S_A, S_B,
+    S_AB, 2E) of the half cut, every stride layers and at T. tables is
+    channels._class_tables()."""
+    L = state.num_qubits
+    out = np.empty((-(-T // stride) if T > 0 and stride > 0 else 0, 4), dtype=np.int16)
+    mask = ctypes.create_string_buffer(_mask(state), 8 * ((L + 63) >> 6))
+    bitgen, lock = _bitgen(rng)
+    with lock:
+        code = _checked(LIB.run_trajectory(
+            _address(state), L, mask, _tables_address(tables), bitgen, T, p, every, m, stride,
+            out.ctypes.data,
+        ))
+    state._stab = int.from_bytes(mask.raw, "little")
+    if code < 0:
+        raise MemoryError("row kernel could not allocate its trajectory buffers")
+    return out
 
 
 def canonicalize(state):

@@ -40,3 +40,23 @@ def both_paths(request):
     if request.param == "numpy":
         request.getfixturevalue("numpy_path")
     return request.param
+
+
+@pytest.fixture
+def use_build(tmp_path, monkeypatch):
+    """A function that builds the row kernel into tmp_path, with extra
+    compiler flags and from its source passed through edit (text to text),
+    and makes that build rowkernel.LIB for the rest of the test."""
+
+    def build(extra=(), edit=None):
+        if edit is not None:
+            source = tmp_path / "rowkernel.c"
+            source.write_text(edit(rowkernel.SOURCE.read_text()))
+            monkeypatch.setattr(rowkernel, "SOURCE", source)
+        monkeypatch.setattr(rowkernel, "FLAGS", rowkernel.FLAGS + tuple(extra))
+        monkeypatch.setattr(rowkernel, "CACHE_DIRS", (tmp_path,))
+        lib = rowkernel.load()
+        assert lib is not None and len(list(tmp_path.glob("rowkernel-*.so"))) == 1
+        monkeypatch.setattr(rowkernel, "LIB", lib)
+
+    return build

@@ -1,5 +1,6 @@
 """Fits, finite-size collapse, sweep bookkeeping, and figure pipelines."""
 
+import concurrent.futures
 import logging
 import re
 
@@ -356,8 +357,9 @@ def pools(monkeypatch):
         started.append(pool)
         return pool
 
-    real = negsim.analysis.ProcessPoolExecutor
-    monkeypatch.setattr(negsim.analysis, "ProcessPoolExecutor", counting_pool)
+    # negsim imports the pool class only where a pool starts
+    real = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
     return started
 
 

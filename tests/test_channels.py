@@ -398,13 +398,14 @@ def test_layer_call_needs_one_class_per_gate(both_paths):
 def test_layer_call_rejects_non_integer_sites_and_columns(both_paths):
     # the kernel path's int64 cast read sites [0.5, 1.0] as [0, 1], a float
     # in a column list raised struct.error, and the numpy path's range check
-    # let column 0.5 through to an IndexError
+    # let column 0.5 through to an IndexError; struct packed a bool in a
+    # list as column or site 1
     state = product_state(4, signed=False)
     _apply_layer(state, [4], (np.array([0, 2]), np.array([7, 500]), None), [1])
     rng = make_rng(5)
     before, stream = state.copy(), rng.bit_generator.state
     for columns, sites in [((), np.array([0.5, 1.0])), (np.array([0.5]), ()),
-                           (np.array([True]), ()), ([0.5], ())]:
+                           (np.array([True]), ()), ([0.5], ()), ([True], ()), ((), [1, True])]:
         with pytest.raises(ValueError, match="integer"):
             _apply_layer(state, columns, None, sites, rng)
         assert state._stab == before._stab and np.array_equal(state._cols, before._cols)

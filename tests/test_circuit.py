@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from negsim import entanglement, rowkernel
 from negsim.channels import (
     _apply_tables_inplace,
     _class_tables,
@@ -43,6 +44,10 @@ def test_config_validation():
         CircuitConfig(L=8, p=0.1, dephasing_schedule="what")
     with pytest.raises(ValueError):
         CircuitConfig(L=8, p=0.1, dephasing_schedule="random_sites(9)")
+    # every record is stored as int16
+    assert CircuitConfig(L=32766, p=0.1).L == 32766
+    with pytest.raises(ValueError, match="L must be <= 32766"):
+        CircuitConfig(L=32768, p=0.1)
 
 
 def test_schedule_parsing():
@@ -125,15 +130,49 @@ def test_record_count_matches_stride(T, stride):
 
 
 def test_trajectory_result_stores_one_observable_array():
+    # one int16 (n, 4) array is stored; the float64 table is built from it
     cfg = CircuitConfig(L=6, p=0.2, T=9, seed=4, observables_every=2)
     res = run_trajectory(cfg)
+    assert res.counts.shape == (5, 4) and res.counts.dtype == np.int16
+    assert not hasattr(res, "__dict__")
     assert res.observables.shape == (5, 6) and res.observables.dtype == np.float64
-    assert res.table() is res.observables
+    assert np.array_equal(res.table(), res.observables)
     assert [r.time for r in res.records] == res.times.tolist() == [2, 4, 6, 8, 9]
     for rec, row in zip(res.records, res.observables):
         assert rec.values() == tuple(row)
         assert all(type(getattr(rec, name)) is int for name in rec.FIELDS if name != "E")
         assert type(rec.E) is float
+
+
+def test_a_record_with_2e_above_i_warns_from_entanglement(both_paths, monkeypatch):
+    # 2E <= I holds for stabilizer states; one check in entanglement.py warns
+    # for either runner's records, and the record is kept for the post-mortem
+    if both_paths == "kernel":
+        if rowkernel.LIB is None:
+            pytest.skip("no compiled row kernel")
+        loop = rowkernel.run_trajectory
+
+        def run(*args):
+            counts = loop(*args)
+            counts[1, 3] = counts[1, 0] + counts[1, 1] - counts[1, 2] + 2
+            return counts
+
+        monkeypatch.setattr(rowkernel, "run_trajectory", run)
+    else:
+        observables, seen = entanglement._observables, []
+
+        def second_too_high(state, region_a, region_b):
+            s_a, s_b, s_ab, e = observables(state, region_a, region_b)
+            seen.append(None)
+            return s_a, s_b, s_ab, (s_a + s_b - s_ab + 2) / 2 if len(seen) == 2 else e
+
+        monkeypatch.setattr(entanglement, "_observables", second_too_high)
+    with pytest.warns(RuntimeWarning) as caught:
+        res = run_trajectory(CircuitConfig(L=8, p=0.2, T=6, seed=3, observables_every=2))
+    s_a, s_b, s_ab, two_e = res.counts[1].tolist()
+    assert two_e == s_a + s_b - s_ab + 2
+    assert [str(w.message) for w in caught] == [f"2E = {float(two_e)} exceeds I = {two_e - 2} at t = 4"]
+    assert caught[0].filename.endswith("entanglement.py")
 
 
 def test_vectorized_layer_matches_sequential_gates():

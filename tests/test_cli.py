@@ -83,6 +83,10 @@ BAD_INPUTS = {
         "cfg.json", json.dumps({"L": "16", "p": 0.1}),
         ["run", "--config", "{path}", "--out", "{out}"],
     ),
+    "run_L_past_int16": (
+        "cfg.json", json.dumps({"L": 32768, "p": 0.1}),
+        ["run", "--config", "{path}", "--out", "{out}"],
+    ),
     "sweep_negative_seed": ("cfg.json", "", ["sweep", "--L", "4", "--p", "0.1", "--seed", "-1",
                                              "--out", "{out}"]),
     "run_negative_seed": (

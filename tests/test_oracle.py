@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negsim import oracle
+import negsim.circuit as circuit
+from negsim import oracle, rowkernel
 from negsim.channels import (
     cnot_gate,
     hadamard_on_first,
@@ -257,10 +258,21 @@ def test_replay_trajectory_on_numpy_path(schedule, numpy_path):
     test_replay_trajectory_matches_runner(schedule)
 
 
+def _shifted_counts(original):
+    """rowkernel.run_trajectory with S_A one too high in every record."""
+
+    def run(*args):
+        counts = original(*args)
+        counts[:, 0] += 1
+        return counts
+
+    return run
+
+
 def _off_by_one_record(original):
     def record(state, bp, time):
         rec = original(state, bp, time)
-        return type(rec)(rec.time, rec.S_A, rec.S_B, rec.S_AB, rec.E, rec.I + 1, rec.purity_log2)
+        return type(rec)(rec.time, rec.S_A + 1, rec.S_B, rec.S_AB, rec.E, rec.I, rec.purity_log2)
 
     return record
 
@@ -273,36 +285,69 @@ def _skip_dephasing(original):
     return lambda state, columns, gates, sites, rng=None: original(state, (), gates, sites, rng)
 
 
+def _returning_at_once(head, value):
+    """A kernel source edit: the C function that opens with head returns
+    value (or nothing) before its first statement."""
+
+    def edit(source):
+        assert source.count(head + "\n{\n") == 1
+        return source.replace(head + "\n{\n", f"{head}\n{{\n    return{value};\n")
+
+    return edit
+
+
+# the kernel path: a record corrupted on its way out of the one-call loop, or
+# a kernel built with a no-op measurement or dephasing
+KERNEL_MUTANTS = {
+    "no_op_measure": _returning_at_once("static int measure(u64 *t, int L, u64 *stab, int site)", " 0"),
+    "no_op_dephase": _returning_at_once(
+        "WIDE static void dephase_column(u64 *t, int L, u64 *stab, int col)", ""
+    ),
+}
+# the numpy path: the _layer_ops loop makes every update through one
+# _apply_layer call per flush and every record through record_observables,
+# both looked up in negsim.circuit's globals
+NUMPY_MUTANTS = {
+    "wrong_record": ("record_observables", _off_by_one_record),
+    "no_op_measure": ("_apply_layer", _skip_measurements),
+    "no_op_dephase": ("_apply_layer", _skip_dephasing),
+}
+
 CORRUPTIONS = pytest.mark.parametrize(
-    "name, corrupt, first_failure",
+    "case, first_failure",
     [
-        ("record_observables", _off_by_one_record, "t=1 (record t=1): runner vs dense {'I': ("),
-        ("_apply_layer", _skip_measurements, "t=2 (record t=2): runner vs dense {'"),
-        ("_apply_layer", _skip_dephasing, "t=2 (record t=2): runner vs dense {'"),
+        ("wrong_record", "t=1 (record t=1): runner vs dense {'S_A': ("),
+        ("no_op_measure", "t=2 (record t=2): runner vs dense {'"),
+        ("no_op_dephase", "t=2 (record t=2): runner vs dense {'"),
     ],
     ids=["wrong_record", "no_op_measure", "no_op_dephase"],
 )
 
 
-@CORRUPTIONS
-def test_replay_trajectory_detects_a_wrong_record(monkeypatch, name, corrupt, first_failure):
-    # the runner makes every update through one _apply_layer call per flush
-    # and every record through record_observables, both looked up in
-    # negsim.circuit's globals, so a corrupted call there must show up
-    # against the dense replay
-    import negsim.circuit as circuit
-
-    monkeypatch.setattr(circuit, name, corrupt(getattr(circuit, name)))
+def assert_replay_fails(first_failure):
     report = replay_trajectory(CircuitConfig(L=4, p=0.2, T=8, seed=1))
     assert not report.ok
     assert report.failures[0].startswith(first_failure), report.failures[0]
 
 
+@pytest.mark.skipif(rowkernel.LIB is None, reason="no compiled row kernel")
+@CORRUPTIONS
+def test_replay_trajectory_detects_a_wrong_record(monkeypatch, use_build, case, first_failure):
+    # with the kernel built the runner is one rowkernel.run_trajectory call
+    if case == "wrong_record":
+        monkeypatch.setattr(rowkernel, "run_trajectory", _shifted_counts(rowkernel.run_trajectory))
+    else:
+        use_build(edit=KERNEL_MUTANTS[case])
+    assert_replay_fails(first_failure)
+
+
 @CORRUPTIONS
 def test_replay_trajectory_detects_a_wrong_record_on_numpy_path(
-    monkeypatch, numpy_path, name, corrupt, first_failure
+    monkeypatch, numpy_path, case, first_failure
 ):
-    test_replay_trajectory_detects_a_wrong_record(monkeypatch, name, corrupt, first_failure)
+    name, corrupt = NUMPY_MUTANTS[case]
+    monkeypatch.setattr(circuit, name, corrupt(getattr(circuit, name)))
+    assert_replay_fails(first_failure)
 
 
 def test_replay_trajectory_rejects_large_chains():

@@ -2,11 +2,12 @@
 
 Each update must leave the same tableau bits and stabilizer mask as the
 numpy path after every operation, and count the same random outcomes; each
-rank must equal the int-row elimination's; canonicalize must leave the
-same bits as the row-int code; each polymer energy must equal
-the numpy DP's, or fail with the same ValueError; the PCG64 bond draw must
-give rng.random()'s bonds and leave the generator in its state. The numpy
-side runs with rowkernel.LIB set to None.
+rank must equal the int-row elimination's; a one-call trajectory must
+give the _layer_ops loop's records, final tableau and generator state;
+canonicalize must leave the same bits as the row-int code; each polymer
+energy must equal the numpy DP's, or fail with the same ValueError; the
+PCG64 bond draw must give rng.random()'s bonds and leave the generator in
+its state. The numpy side runs with rowkernel.LIB set to None.
 """
 
 import copy
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import negsim.circuit as circuit
 from negsim import polymer, rowkernel
 from negsim.channels import (
     _apply_layer,
@@ -31,6 +33,7 @@ from negsim.channels import (
     _measure_z_inplace,
     cnot_gate,
     make_rng,
+    trajectory_rng,
 )
 from negsim.circuit import CircuitConfig, run_trajectory
 from negsim.entanglement import (
@@ -302,6 +305,88 @@ def test_kernel_rejects_sites_out_of_range_and_changes_nothing():
         with pytest.raises(ValueError):
             call()
         assert state._stab == before._stab and np.array_equal(state._cols, before._cols)
+
+
+def runs_of(monkeypatch, cfg, lib):
+    """run_trajectory(cfg) with rowkernel.LIB = lib, its final state kept,
+    the number of rowkernel.run_trajectory calls it made, and the state of
+    its generator afterwards."""
+    gens, calls = [], []
+    loop = rowkernel.run_trajectory
+
+    def counted(*args):
+        calls.append(args)
+        return loop(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(rowkernel, "LIB", lib)
+        m.setattr(rowkernel, "run_trajectory", counted)
+        m.setattr(circuit, "trajectory_rng", lambda seed, i: gens.append(trajectory_rng(seed, i)) or gens[0])
+        result = run_trajectory(cfg, 1, keep_final_state=True)
+    return result, len(calls), gens[0].bit_generator.state
+
+
+def assert_loop_matches_reference(monkeypatch, cfg):
+    """The kernel's one-call trajectory against the _layer_ops loop on the
+    numpy path: the same records, final tableau, mask and stream."""
+    fast, calls, fast_stream = runs_of(monkeypatch, cfg, rowkernel.LIB)
+    slow, slow_calls, slow_stream = runs_of(monkeypatch, cfg, None)
+    assert (calls, slow_calls) == (1, 0)
+    assert fast.counts.dtype == slow.counts.dtype == np.int16
+    assert fast.times is slow.times and np.array_equal(fast.counts, slow.counts)
+    assert np.array_equal(fast.table(), slow.table())
+    assert np.array_equal(fast.final_state._cols, slow.final_state._cols)
+    assert fast.final_state._stab == slow.final_state._stab
+    assert fast_stream == slow_stream
+
+
+LOOP_SCHEDULES = ["boundary_even_steps", "boundary_every_step", "random_sites(0)",
+                  "random_sites(1)", "random_sites(L)"]
+
+
+def loop_configs(L, schedule):
+    """p in {0, 0.1, 1}; T not a multiple of the stride, and a stride past T.
+    L = 34 spans two tableau words (an odd L is not a circuit)."""
+    schedule = schedule.replace("(L)", f"({L})")
+    for p in (0.0, 0.1, 1.0):
+        for T, stride in ((L + 3, 4), (5, 7)):
+            yield CircuitConfig(L=L, p=p, T=T, seed=L + T, dephasing_schedule=schedule,
+                                observables_every=stride)
+
+
+@needs_kernel
+@pytest.mark.parametrize("schedule", LOOP_SCHEDULES)
+@pytest.mark.parametrize("L", [2, 34, 64, 160])
+def test_trajectory_loop_matches_layer_ops_runner(monkeypatch, L, schedule):
+    for cfg in loop_configs(L, schedule):
+        assert_loop_matches_reference(monkeypatch, cfg)
+
+
+@needs_kernel
+@pytest.mark.parametrize("m, path", [(200, "kernel"), (201, "reference")])
+def test_trajectory_loop_leaves_numpys_shuffled_choice_to_the_reference(monkeypatch, m, path):
+    # past L = 10000 numpy's choice draws Floyd's set only up to m = L // 50
+    taken = []
+
+    def stub(name):
+        return lambda *args: taken.append(name) or np.zeros((1, 4), np.int16)
+
+    monkeypatch.setattr(rowkernel, "run_trajectory", stub("kernel"))
+    monkeypatch.setattr(circuit, "_run_ops", stub("reference"))
+    run_trajectory(CircuitConfig(L=10002, p=0.0, T=1, dephasing_schedule=f"random_sites({m})"))
+    assert taken == [path]
+
+
+@needs_kernel
+def test_trajectory_loop_rejects_bad_arguments_and_changes_nothing():
+    state, rng = product_state(4, signed=False), make_rng(3)
+    before, stream = state.copy(), rng.bit_generator.state
+    tables = _class_tables()
+    for args in ((0, 0.1, 2, 0, 1), (8, 1.5, 2, 0, 1), (8, 0.1, -1, 0, 1), (8, 0.1, 0, 5, 1),
+                 (8, 0.1, 0, -1, 1), (8, 0.1, 2, 0, 0)):
+        with pytest.raises(ValueError):
+            rowkernel.run_trajectory(state, tables, rng, *args)
+        assert state == before and rng.bit_generator.state == stream
 
 
 CANON_SIZES = [2, 4, 34, 64, 66, 120, 130]
@@ -591,18 +676,9 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         assert proc.returncode == 0 and proc.stderr == "", (extra, proc.stderr)
 
 
-def use_build(tmp_path, monkeypatch, extra):
-    """Build the kernel with the extra flags into tmp_path and draw from it."""
-    monkeypatch.setattr(rowkernel, "FLAGS", rowkernel.FLAGS + extra)
-    monkeypatch.setattr(rowkernel, "CACHE_DIRS", (tmp_path,))
-    lib = rowkernel.load()
-    assert lib is not None and len(list(tmp_path.glob("rowkernel-*.so"))) == 1
-    monkeypatch.setattr(rowkernel, "LIB", lib)
-
-
 @needs_kernel
-def test_build_without_int128_draws_the_same_bonds(tmp_path, monkeypatch):
-    use_build(tmp_path, monkeypatch, ("-U__SIZEOF_INT128__",))
+def test_build_without_int128_draws_the_same_bonds(monkeypatch, use_build):
+    use_build(("-U__SIZEOF_INT128__",))
     for n in BOND_COUNTS:
         for p in (0.0, 1.0, 0.3):
             assert kernel_bonds_match_numpy(*twin_generators(n, warm=n % 2), n, p), (n, p)
@@ -618,17 +694,28 @@ def test_build_without_int128_draws_the_same_bonds(tmp_path, monkeypatch):
 
 @needs_kernel
 @pytest.mark.parametrize("threads", [1, 2])
-def test_build_without_lanes_draws_the_same_bonds(tmp_path, monkeypatch, threads):
+def test_build_without_lanes_draws_the_same_bonds(monkeypatch, use_build, threads):
     # on a CPU with AVX-512 the default build draws all but each segment's
     # last n % 16 bonds in its lane loop; this build draws them all in the
     # plain loop, here across and past the first split at 2^20 bonds
-    use_build(tmp_path, monkeypatch, PLAIN_LOOP)
+    use_build(PLAIN_LOOP)
     monkeypatch.setattr(rowkernel, "THREADS", threads)
     for n in BOND_COUNTS + (2 * SEGMENT - 1, 2 * SEGMENT + 5):
         for warm in (False, True):
             assert kernel_bonds_match_numpy(*twin_generators(n, warm), n, 0.3), (n, warm)
     for p in (0.0, 1.0, np.nextafter(0.1, 0)):
         assert kernel_bonds_match_numpy(*twin_generators(7), 2 * SEGMENT + 1, p), p
+
+
+@needs_kernel
+@pytest.mark.parametrize("extra", [("-U__SIZEOF_INT128__",), PLAIN_LOOP], ids=["no_int128", "no_lanes"])
+def test_variant_builds_run_the_same_trajectories(monkeypatch, use_build, extra):
+    # the plain-loop build has no AVX2 clones of the row loops either
+    use_build(extra)
+    for L in (2, 34, 64):
+        for schedule in LOOP_SCHEDULES:
+            for cfg in loop_configs(L, schedule):
+                assert_loop_matches_reference(monkeypatch, cfg)
 
 
 def exported_functions(c_source: str):
