@@ -144,7 +144,7 @@ class Curve:
         object.__setattr__(self, "stderr", np.asarray(self.stderr, dtype=float)[order])
         if self.p.size < 2:
             raise ValueError("curves need at least 2 points")
-        if np.unique(self.p).size != self.p.size:
+        if np.any(self.p[1:] == self.p[:-1]):  # sorted; np.unique would import numpy.ma
             raise ValueError("duplicate p values on one curve")
 
 
@@ -295,9 +295,21 @@ def optimize_collapse(
     """Grid search over (p_c, nu) followed by simplex refinement.
 
     p_c is scanned over the interior of the p-range common to all curves.
-    Raises if fewer than 3 sizes are supplied or if the optimum pins to the
-    edge of the swept range (data not straddling the transition).
+    Raises ValueError if fewer than 3 sizes are supplied, if a grid entry is
+    not an integer >= 1, if nu_range is not finite with 0 < lo < hi, or if
+    the optimum pins to the edge of the swept range (data not straddling
+    the transition).
     """
+    n_p, n_nu = grid
+    _check_integers(grid=n_p)
+    _check_integers(grid=n_nu)
+    if n_p < 1 or n_nu < 1:
+        raise ValueError(f"grid entries must be >= 1, got {grid!r}")
+    nu_lo, nu_hi = nu_range
+    real = all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+               for v in (nu_lo, nu_hi))
+    if not real or not 0 < nu_lo < nu_hi < float("inf"):
+        raise ValueError(f"nu_range must be finite with 0 < lo < hi, got {nu_range!r}")
     if len(curves) < 3:
         raise ValueError("need at least 3 system sizes")
     if len({c.L for c in curves}) != len(curves):
@@ -309,8 +321,8 @@ def optimize_collapse(
 
     trace: List[Tuple[float, float, float]] = []
     margin = 0.02 * (p_hi - p_lo)
-    p_grid = np.linspace(p_lo + margin, p_hi - margin, grid[0])
-    nu_grid = np.linspace(nu_range[0], nu_range[1], grid[1])
+    p_grid = np.linspace(p_lo + margin, p_hi - margin, n_p)
+    nu_grid = np.linspace(nu_lo, nu_hi, n_nu)
     best = (float("inf"), p_grid[0], nu_grid[0])
     for pc in p_grid:
         for nu in nu_grid:
@@ -321,9 +333,7 @@ def optimize_collapse(
 
     def clamped(v: np.ndarray) -> float:
         pc, nu = float(v[0]), float(v[1])
-        if not (p_lo + margin <= pc <= p_hi - margin) or not (
-            nu_range[0] <= nu <= nu_range[1]
-        ):
+        if not (p_lo + margin <= pc <= p_hi - margin) or not nu_lo <= nu <= nu_hi:
             return float("inf")
         return collapse_objective(curves, pc, nu)
 

@@ -136,7 +136,11 @@ def _ranks(state: StabilizerState, a: _Sites, b: _Sites) -> Tuple[int, int, int]
     """Over the stabilizer rows, for disjoint A and B that cover the chain
     or whose outside is traced out: (rank on B's columns, rank on A's
     columns, rank of J = X_A Z_A^T + Z_A X_A^T). The row kernel makes the
-    three in one call; the numpy code is the reference."""
+    three in one elimination: its pass over B's columns leaves the
+    generators local to A, its pass over A's columns the cross generators,
+    and J's rank is taken over those alone, since local generators add
+    nothing to it. The numpy code, three separate ranks over all k rows,
+    is the reference."""
     if rowkernel.LIB is not None:
         return rowkernel.record_ranks(state, a.raw, b.raw)
     bits = state._stabilizer_bits(a.columns)

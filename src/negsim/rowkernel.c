@@ -17,10 +17,13 @@
  * bits; measure and _collapse_rows have the same one tail for cases (b)
  * and (c). A measurement's or a dephasing's row products take one pass
  * over the columns (update_rows): per block of 64 columns the source row's
- * bits are read once, then each word holding a cleared or target row is
- * updated. record_ranks reads the tableau: the three ranks behind every
- * entropy, negativity and record of negsim.entanglement, which
- * run_trajectory's records take from the same code.
+ * bits are read once, then only the words holding a cleared or target row
+ * are updated, and a dephasing's parity sums read only the words holding
+ * a destabilizer partner, so neither grows as L^2. record_ranks reads the
+ * tableau: the three ranks behind every entropy, negativity and record of
+ * negsim.entanglement, from one elimination over the stabilizer rows
+ * (cut_ranks), which run_trajectory's records share, with one scratch
+ * buffer per trajectory.
  * canonicalize runs stabilizer.canonicalize's two sweeps on an unsigned
  * state with the row-int code's row operations in its order. Nothing here
  * reads or writes a sign. A site, column, gate class or stabilizer pair out
@@ -95,23 +98,26 @@ static int lowest(const u64 *v, int W)
 /* Rows set in the W-word mask clear <- 0, then row x ^= row src for every
  * row x set in targets: one pass over the n columns, 64 at a time, reading
  * src's bits of a block before writing any row, so src may be cleared.
- * clear may be NULL. */
+ * Only the words that hold a target or a cleared row are visited. clear
+ * may be NULL. */
 WIDE static void update_rows(u64 *t, int n, int W, int src, const u64 *targets,
                              const u64 *clear)
 {
     const u64 *from = t + (size_t)(src >> 6) * n;
-    int s = src & 63;
+    int s = src & 63, used[W], count = 0;
     u64 bits[64];
-    for (int c0 = 0; c0 < n; c0 += 64) {
+    for (int w = 0; w < W; w++)
+        if (targets[w] | (clear ? clear[w] : 0))
+            used[count++] = w;
+    for (int c0 = 0; c0 < n && count; c0 += 64) {
         int m = n - c0 < 64 ? n - c0 : 64;
         for (int c = 0; c < m; c++)
             bits[c] = 0 - ((from[c0 + c] >> s) & 1);
-        for (int w = 0; w < W; w++) {
-            u64 x = targets[w], keep = clear ? ~clear[w] : ~(u64)0;
-            u64 *row = t + (size_t)w * n + c0;
-            if (x | ~keep)
-                for (int c = 0; c < m; c++)
-                    row[c] = (row[c] & keep) ^ (x & bits[c]);
+        for (int i = 0; i < count; i++) {
+            u64 x = targets[used[i]], keep = clear ? ~clear[used[i]] : ~(u64)0;
+            u64 *row = t + (size_t)used[i] * n + c0;
+            for (int c = 0; c < m; c++)
+                row[c] = (row[c] & keep) ^ (x & bits[c]);
         }
     }
 }
@@ -172,10 +178,12 @@ static int measure(u64 *t, int L, u64 *stab, int site)
 
 /* Dephase at column col: channels._dephase_inplace. S_p, the lowest
  * stabilizer hit, goes into the other hit stabilizers, their destabilizers
- * into D_p, and the bit of p is cleared in stab. */
+ * into D_p, and the bit of p is cleared in stab. Only the words that hold
+ * a hit stabilizer or its destabilizer are read, so the cost grows with L
+ * and the hits, not with L^2. */
 WIDE static void dephase_column(u64 *t, int L, u64 *stab, int col)
 {
-    int n = 2 * L, W = (n + 63) / 64, S = (L + 63) / 64;
+    int n = 2 * L, W = (n + 63) / 64, S = (L + 63) / 64, used[W], count = 0;
     u64 others[W], partners[W];
     memset(others, 0, sizeof others);
     memset(partners, 0, sizeof partners);
@@ -194,11 +202,14 @@ WIDE static void dephase_column(u64 *t, int L, u64 *stab, int col)
             int r = L + 64 * w + __builtin_ctzll(m);
             partners[r >> 6] |= BIT(r);
         }
+    for (int w = 0; w < W; w++)
+        if (partners[w])
+            used[count++] = w;
     u64 *target = t + (size_t)((L + p) >> 6) * n;
     for (int c = 0; c < n; c++) {
         int parity = 0;
-        for (int w = 0; w < W; w++)
-            parity ^= __builtin_popcountll(t[(size_t)w * n + c] & partners[w]) & 1;
+        for (int i = 0; i < count; i++)
+            parity ^= __builtin_popcountll(t[(size_t)used[i] * n + c] & partners[used[i]]) & 1;
         target[c] ^= (u64)parity << ((L + p) & 63);
     }
 }
@@ -365,98 +376,201 @@ static int rank_vectors(u64 *v, int count, int S, int limit, int *owner)
     return rank;
 }
 
-/* Rank of the stabilizer rows on the X and Z columns of count sites (int64):
- * each column is a vector over the rows, masked to the stabilizers stab.
- * Returns -1 when out of memory. */
-static int rank_on(const u64 *t, int L, const u64 *stab, const unsigned char *sites, int count)
+/* Each row's word ^= its targets on the columns first .. N - 1 where
+ * own[c], the pivot's word, has bit s; mine, own's targets, lacks bit s. */
+static inline void reduce_one(u64 *restrict own, int s, u64 mine, int first, int N)
 {
-    int n = 2 * L, S = (L + 63) / 64, k = 0;
+    for (int c = first; c < N; c++)
+        own[c] ^= mine & (0 - ((own[c] >> s) & 1));
+}
+
+static inline void reduce_two(u64 *restrict own, u64 *restrict a, int s, u64 mine, u64 xa,
+                              int first, int N)
+{
+    for (int c = first; c < N; c++) {
+        u64 m = 0 - ((own[c] >> s) & 1);
+        own[c] ^= mine & m;
+        a[c] ^= xa & m;
+    }
+}
+
+static inline void reduce_three(u64 *restrict own, u64 *restrict a, u64 *restrict b, int s,
+                                u64 mine, u64 xa, u64 xb, int first, int N)
+{
+    for (int c = first; c < N; c++) {
+        u64 m = 0 - ((own[c] >> s) & 1);
+        own[c] ^= mine & m;
+        a[c] ^= xa & m;
+        b[c] ^= xb & m;
+    }
+}
+
+/* Row x ^= row p for every row x set in targets, on the columns first ..
+ * N - 1 of the (W, N) buffer v, two target words per loop over the
+ * columns. targets must not hold p. */
+WIDE static void reduce(u64 *v, int N, int W, int p, const u64 *targets, int first)
+{
+    u64 *own = v + (size_t)(p >> 6) * N, mine = targets[p >> 6];
+    int s = p & 63, count = 0, other[W];
+    for (int w = 0; w < W; w++)
+        if (w != p >> 6 && targets[w])
+            other[count++] = w;
+    int i = 0;
+    for (; i + 1 < count; i += 2, mine = 0)
+        reduce_three(own, v + (size_t)other[i] * N, v + (size_t)other[i + 1] * N, s, mine,
+                     targets[other[i]], targets[other[i + 1]], first, N);
+    if (i < count)
+        reduce_two(own, v + (size_t)other[i] * N, s, mine, targets[other[i]], first, N);
+    else if (mine)
+        reduce_one(own, s, mine, first, N);
+}
+
+/* One elimination pass over the columns lo .. hi - 1 of the (W, N) buffer
+ * v: for each column the pivot is the lowest row of rest with its bit, or
+ * of prefer's rows when one of them has it (prefer may be NULL). The pivot
+ * leaves rest and goes into the other rows of rest with that bit, on that
+ * column and every later one, so no row of rest keeps a bit on the columns
+ * passed. That loop over the columns starts on a multiple of 4, since the
+ * pivot has no bit on this pass's earlier columns and no later pass reads
+ * an earlier pass's columns, and N is a multiple of 4. Pivots outside
+ * prefer are set in picked (which may be NULL). Returns the pivot count:
+ * the rank of rest's rows on the columns lo .. hi - 1. */
+static int eliminate(u64 *v, int N, int W, int lo, int hi, u64 *rest, const u64 *prefer,
+                     u64 *picked)
+{
+    int rank = 0, left = 0;
+    u64 hit[W];
+    for (int w = 0; w < W; w++)
+        left += __builtin_popcountll(rest[w]);
+    for (int c = lo; c < hi && rank < left; c++) {
+        int p = -1;
+        u64 any = 0;
+        for (int w = 0; w < W; w++)
+            any |= hit[w] = v[(size_t)w * N + c] & rest[w];
+        if (!any)
+            continue;
+        for (int w = 0; prefer && w < W && p < 0; w++)
+            if (hit[w] & prefer[w])
+                p = 64 * w + __builtin_ctzll(hit[w] & prefer[w]);
+        if (p < 0)
+            p = lowest(hit, W);
+        if (picked && !(prefer && has(prefer, p)))
+            picked[p >> 6] |= BIT(p);
+        hit[p >> 6] &= ~BIT(p);
+        rest[p >> 6] &= ~BIT(p);
+        reduce(v, N, W, p, hit, c & ~3);
+        rank++;
+    }
+    return rank;
+}
+
+/* Bytes of cut_ranks' scratch for L sites and count sites in A and B. */
+static size_t cut_scratch(int L, int count)
+{
+    size_t S = (size_t)(L + 63) / 64;
+    return sizeof(int) * 64 * S + sizeof(u64) * S * (2 * (size_t)count + 4 + 3 * (size_t)L);
+}
+
+/* The three ranks of entanglement._ranks for disjoint site sets A (nA
+ * int64 sites) and B (nB), in one elimination over the stabilizer rows:
+ * out[0] = their rank on B's X and Z columns (S_A's), out[1] = on A's
+ * (S_B's) and out[2] = the rank of J = X_A Z_A^T + Z_A X_A^T (2E). The
+ * rows' bits on the X and Z columns of B's sites, then A's, in the order
+ * given and each site's two side by side, are copied into scratch, an
+ * (S, 2nB + 2nA) column-packed buffer padded with zero columns to a
+ * multiple of 4. The pass over B's columns counts rank_B, and the rows it
+ * leaves generate G_A, the subgroup supported on A (Fattal et al.,
+ * quant-ph/0406168). The pass over A's columns counts rank_A and takes a
+ * row of G_A as the pivot whenever one has the bit, so G_A's rows only ever
+ * change among themselves; its pivots outside G_A are the cross generators
+ * C, I = rank_A + rank_B - k of them, and the rows it leaves are supported
+ * on B. Rows local to A or to B commute with every row on A, and a change
+ * of generators keeps J's rank, so 2E is the rank of J over C alone (Sang
+ * et al., PRX Quantum 2, 030313); the preference for G_A keeps C at I
+ * rows. The two passes are exact for any A and B; out[2] needs every
+ * stabilizer supported on A u B, as after entanglement's trace-out or when
+ * A u B is the chain. The sites' order sets the cost, not the ranks:
+ * run_trajectory's records take each half from the cut outwards. scratch
+ * holds cut_scratch(L, nA + nB) bytes. */
+static void cut_ranks(const u64 *t, int L, const u64 *stab, const unsigned char *A, int nA,
+                      const unsigned char *B, int nB, int *out, void *scratch)
+{
+    int n = 2 * L, S = (L + 63) / 64, used = 2 * (nA + nB), N = (used + 3) & ~3, a = 2 * nB;
+    int m = 0, *owner = scratch, *rows = owner;
+    u64 *v = (u64 *)(owner + 64 * S), *J = v + (size_t)S * N, rest[S], local[S], cross[S];
+    for (int w = 0; w < S; w++) {
+        const u64 *from = t + (size_t)w * n;
+        u64 *to = v + (size_t)w * N;
+        for (int i = 0; i < nB; i++) {
+            int64_t site = site_at(B, i);
+            to[2 * i] = from[site] & stab[w];
+            to[2 * i + 1] = from[L + site] & stab[w];
+        }
+        for (int i = 0; i < nA; i++) {
+            int64_t site = site_at(A, i);
+            to[a + 2 * i] = from[site] & stab[w];
+            to[a + 2 * i + 1] = from[L + site] & stab[w];
+        }
+        for (int c = used; c < N; c++)
+            to[c] = 0;
+    }
+    memcpy(rest, stab, sizeof rest);
+    out[0] = eliminate(v, N, S, 0, a, rest, NULL, NULL);
+    memcpy(local, rest, sizeof local);
+    memcpy(rest, stab, sizeof rest);
+    memset(cross, 0, sizeof cross);
+    out[1] = eliminate(v, N, S, a, used, rest, local, cross);
+    /* C's rows on A as row bitsets X_i and Z_i (H words each), then row i
+     * of J (M words) has bit l when X_i.Z_l + Z_i.X_l is odd; rows, C's
+     * row indices, lends owner's space until rank_vectors needs it */
     for (int w = 0; w < S; w++)
-        k += __builtin_popcountll(stab[w]);
-    u64 *v = malloc(sizeof *v * S * (2 * (size_t)count + 1));
-    int *owner = malloc(sizeof *owner * 64 * (size_t)S);
-    if (!v || !owner) {
-        free(v);
-        free(owner);
-        return -1;
-    }
-    for (int i = 0; i < count; i++) {
-        int64_t site = site_at(sites, i);
-        for (int w = 0; w < S; w++) {
-            v[(size_t)(2 * i) * S + w] = t[(size_t)w * n + site] & stab[w];
-            v[(size_t)(2 * i + 1) * S + w] = t[(size_t)w * n + L + site] & stab[w];
+        for (u64 bits = cross[w]; bits; bits &= bits - 1)
+            rows[m++] = 64 * w + __builtin_ctzll(bits);
+    int H = (nA + 63) / 64, M = (m + 63) / 64;
+    u64 *X = J + (size_t)m * M, *Z = X + (size_t)m * H;
+    memset(J, 0, sizeof *J * (size_t)m * M);
+    for (int i = 0; i < m; i++) {
+        const u64 *xz = v + (size_t)(rows[i] >> 6) * N + a;
+        int b = rows[i] & 63;
+        for (int h = 0; h < H; h++) {
+            u64 xs = 0, zs = 0;
+            for (int j = 64 * h; j < nA && j < 64 * h + 64; j++) {
+                xs |= ((xz[2 * j] >> b) & 1) << (j & 63);
+                zs |= ((xz[2 * j + 1] >> b) & 1) << (j & 63);
+            }
+            X[(size_t)i * H + h] = xs;
+            Z[(size_t)i * H + h] = zs;
         }
     }
-    int rank = rank_vectors(v, 2 * count, S, k, owner);
-    free(v);
-    free(owner);
-    return rank;
-}
-
-/* Rank of J = X_A Z_A^T + Z_A X_A^T over the stabilizer rows, where X_A and
- * Z_A are their bits on count sites (int64). J is built column by column:
- * column s adds X_c for each site c with z_sc = 1 and Z_c for each c with
- * x_sc = 1. Returns -1 when out of memory. */
-static int negativity_on(const u64 *t, int L, const u64 *stab, const unsigned char *sites,
-                         int count)
-{
-    int n = 2 * L, S = (L + 63) / 64, k = 0;
-    u64 x[S], z[S];
-    u64 *J = calloc((size_t)L * S, sizeof *J);
-    int *owner = malloc(sizeof *owner * 64 * (size_t)S);
-    if (!J || !owner) {
-        free(J);
-        free(owner);
-        return -1;
-    }
-    for (int i = 0; i < count; i++) {
-        int64_t site = site_at(sites, i);
-        for (int w = 0; w < S; w++) {
-            x[w] = t[(size_t)w * n + site] & stab[w];
-            z[w] = t[(size_t)w * n + L + site] & stab[w];
+    for (int i = 0; i < m; i++)
+        for (int l = i + 1; l < m; l++) {
+            int odd = 0;
+            for (int h = 0; h < H; h++)
+                odd ^= __builtin_popcountll((X[(size_t)i * H + h] & Z[(size_t)l * H + h])
+                                            ^ (Z[(size_t)i * H + h] & X[(size_t)l * H + h]));
+            J[(size_t)i * M + (l >> 6)] |= (u64)(odd & 1) << (l & 63);
+            J[(size_t)l * M + (i >> 6)] |= (u64)(odd & 1) << (i & 63);
         }
-        for (int w = 0; w < S; w++) {
-            for (u64 m = z[w]; m; m &= m - 1)
-                for (int u = 0; u < S; u++)
-                    J[(size_t)(64 * w + __builtin_ctzll(m)) * S + u] ^= x[u];
-            for (u64 m = x[w]; m; m &= m - 1)
-                for (int u = 0; u < S; u++)
-                    J[(size_t)(64 * w + __builtin_ctzll(m)) * S + u] ^= z[u];
-        }
-    }
-    for (int r = 0; r < L; r++) /* keep the stabilizer columns, in order */
-        if (has(stab, r))
-            memmove(J + (size_t)k++ * S, J + (size_t)r * S, sizeof *J * S);
-    int rank = rank_vectors(J, k, S, k, owner);
-    free(J);
-    free(owner);
-    return rank;
+    out[2] = rank_vectors(J, m, M, m, owner);
 }
 
-/* The three ranks of entanglement._ranks for disjoint site sets A and B,
- * given A's nregion sites region and B's nrest sites rest: out[0] = rank_on
- * B (S_A's), out[1] = rank_on A (S_B's) and out[2] = negativity_on A (E's).
- * They serve any A and B once the sites outside A u B are traced out, and
- * entropy as A = R, B = the rest of the chain. Returns 0, -1 when out of
- * memory, or -2 before it reads the tableau when a site is out of range. */
-static int ranks(const u64 *t, int L, const u64 *stab, const unsigned char *region,
-                 int nregion, const unsigned char *rest, int nrest, int *out)
-{
-    out[0] = rank_on(t, L, stab, rest, nrest);
-    out[1] = rank_on(t, L, stab, region, nregion);
-    out[2] = negativity_on(t, L, stab, region, nregion);
-    return out[0] < 0 || out[1] < 0 || out[2] < 0 ? -1 : 0;
-}
-
+/* cut_ranks for A's nregion sites region and B's nrest sites rest, which
+ * the caller keeps disjoint. Returns 0, -1 when out of memory, or -2 before
+ * it reads the tableau when a site is out of range. */
 int record_ranks(const u64 *t, int L, const unsigned char *mask, const unsigned char *region,
                  int nregion, const unsigned char *rest, int nrest, int *out)
 {
     int S = (L + 63) / 64;
     if (!sites_ok(region, nregion, L) || !sites_ok(rest, nrest, L))
         return -2;
+    void *scratch = malloc(cut_scratch(L, nregion + nrest));
+    if (!scratch)
+        return -1;
     u64 stab[S];
     load_mask(mask, S, stab);
-    return ranks(t, L, stab, region, nregion, rest, nrest, out);
+    cut_ranks(t, L, stab, region, nregion, rest, nrest, out, scratch);
+    free(scratch);
+    return 0;
 }
 
 /* One trajectory of circuit.run_trajectory from the state t, mask on T
@@ -467,29 +581,34 @@ int record_ranks(const u64 *t, int L, const unsigned char *mask, const unsigned 
  * every > 0 and l % every == 0, else of the m sites of draw_sites when
  * m > 0. Every stride layers and at T, the half cut A = [0, L/2),
  * B = [L/2, L) gets a record of 4 int16 in out: S_A, S_B, S_AB and 2E,
- * from ranks as entanglement._observables reads them. The mask bytes are
- * updated in place. Returns 0, -1 when out of memory, or -2 before it
- * changes or draws anything when an argument is out of range. */
+ * from cut_ranks as entanglement._observables reads them, in one scratch
+ * buffer allocated per trajectory. The mask bytes are updated in place.
+ * Returns 0, -1 when out of memory, or -2 before it changes or draws
+ * anything when an argument is out of range. */
 int run_trajectory(u64 *t, int L, unsigned char *mask, const u64 *tables, bitgen_t *g,
                    int T, double p, int every, int m, int stride, int16_t *out)
 {
-    int S = (L + 63) / 64, half = L / 2, code = 0, r[3];
+    int S = (L + 63) / 64, half = L / 2, r[3];
     if (L < 2 || L & 1 || L > 32766 || T < 1 || !(p >= 0 && p <= 1) || every < 0 || m < 0
         || m > L || stride < 1)
         return -2;
     int64_t *drawn = malloc(sizeof *drawn * (2 * (size_t)half + L));
     int64_t *sites = malloc(sizeof *sites * (size_t)L);
-    if (!drawn || !sites) {
+    void *scratch = malloc(cut_scratch(L, L));
+    if (!drawn || !sites || !scratch) {
         free(drawn);
         free(sites);
+        free(scratch);
         return -1;
     }
-    for (int s = 0; s < L; s++)
-        sites[s] = s; /* A's sites, then B's */
+    for (int s = 0; s < half; s++) { /* A's sites from the cut out, then B's */
+        sites[s] = half - 1 - s;
+        sites[half + s] = half + s;
+    }
     const unsigned char *a = (const unsigned char *)sites, *b = (const unsigned char *)(sites + half);
     u64 stab[S];
     load_mask(mask, S, stab);
-    for (int l = 1; l <= T && code == 0; l++) {
+    for (int l = 1; l <= T; l++) {
         int first = l % 2 ? 0 : 1, n = (L - first) / 2, random = 0;
         int hit = draw_layer(g, n, L, p, drawn);
         for (int i = 0; i < n; i++)
@@ -510,7 +629,7 @@ int run_trajectory(u64 *t, int L, unsigned char *mask, const u64 *tables, bitgen
             int k = 0;
             for (int w = 0; w < S; w++)
                 k += __builtin_popcountll(stab[w]);
-            code = ranks(t, L, stab, a, half, b, half, r);
+            cut_ranks(t, L, stab, a, half, b, half, r, scratch);
             out[0] = (int16_t)(half - (k - r[0]));
             out[1] = (int16_t)(half - (k - r[1]));
             out[2] = (int16_t)(L - k);
@@ -521,7 +640,8 @@ int run_trajectory(u64 *t, int L, unsigned char *mask, const u64 *tables, bitgen
     memcpy(mask, stab, sizeof stab);
     free(drawn);
     free(sites);
-    return code;
+    free(scratch);
+    return 0;
 }
 
 /* Row r of the tableau as an n-bit bitset, bit c = column c. */

@@ -15,7 +15,9 @@ bit-identical tableaux. It serves these calls, each behind one dispatch line:
   `entanglement._observables`' trace-out;
 - `entanglement._ranks`, the three GF(2) ranks behind every entropy,
   negativity and record, in one `record_ranks` call on any state (no rank
-  reads a sign);
+  reads a sign): one elimination over the stabilizer rows, B's columns
+  first, counts both entropy ranks and leaves the I cross generators, over
+  which the negativity rank is taken (rowkernel.c's cut_ranks);
 - `circuit._layer_ops`' draws: `draw_layer` (a layer's gate classes, sign
   bits and measured sites) and `draw_sites` (the sites of
   `random_sites(m)`), and `apply_layer`'s outcome bits. They, and
@@ -315,8 +317,9 @@ def record_ranks(state, region, rest) -> Tuple[int, int, int]:
     """For disjoint site sets A (region) and B (rest), int64 sites or their
     bytes as entanglement caches them: (rank of the stabilizer rows on B's X
     and Z columns, the same on A's, rank of the anticommutation form of the
-    rows on A) in one call. Any A and B serve once the sites outside A u B
-    are traced out."""
+    rows on A) from one elimination. The first two hold for any A and B;
+    the third once the sites outside A u B are traced out, since it is
+    taken over the generators that are neither local to A nor to B."""
     a, b = _int64s(region), _int64s(rest)
     out = (ctypes.c_int * 3)()
     code = _checked(LIB.record_ranks(

@@ -30,7 +30,7 @@ from negsim.channels import (
     symplectic_matrix,
     trajectory_rng,
 )
-from negsim.analysis import SweepSpec
+from negsim.analysis import Curve, SweepSpec, optimize_collapse
 from negsim.circuit import CircuitConfig
 from negsim.entanglement import Bipartition, entropy
 from negsim.oracle import DenseState, pauli_matrix
@@ -515,6 +515,16 @@ def test_trajectory_rng_streams():
 
 # -- the shared input checks ---------------------------------------------------
 
+def collapse_curves(sizes=(40, 80, 120), p_c=0.16, nu=0.94):
+    """Exact scaling-form curves whose collapse optimum lies inside the p range."""
+    ps = np.linspace(0.10, 0.245, 7)
+    return [
+        Curve(L=L, p=ps, y=1.0 / (1.0 + np.exp((ps - p_c) * L ** (1.0 / nu) / 8.0)),
+              stderr=np.full(ps.size, 1e-3))
+        for L in sizes
+    ]
+
+
 # (entry point, whether None is its default); each takes the value under test
 INTEGER_ENTRY_POINTS = {
     "entropy region": (lambda v: entropy(product_state(4), [1, v]), False),
@@ -534,6 +544,9 @@ INTEGER_ENTRY_POINTS = {
         lambda v: CircuitConfig(L=4, p=0.1, observables_every=v), False),
     "SweepSpec.seed": (lambda v: SweepSpec([4], [0.1], seed=v, samples=1, T=2), False),
     "SweepSpec.L_values": (lambda v: SweepSpec([v], [0.1], samples=1, T=2), False),
+    # grid=(True, 16) ran as one grid point and reported a pinned edge
+    "optimize_collapse grid p": (lambda v: optimize_collapse(collapse_curves(), grid=(v, 16)), False),
+    "optimize_collapse grid nu": (lambda v: optimize_collapse(collapse_curves(), grid=(25, v)), False),
 }
 
 
@@ -546,6 +559,33 @@ def test_every_entry_point_takes_integers_by_one_policy(entry):
             call(value)
     for value in (np.int32(2), np.int64(2)):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grid": (0, 16)},  # was an IndexError
+        {"grid": (25, 0)},
+        {"grid": (-3, 16)},
+        {"nu_range": (2.0, 0.5)},  # was a fit at nu = 0.5 with a RuntimeWarning
+        {"nu_range": (0.5, 0.5)},
+        {"nu_range": (0.0, 2.0)},
+        {"nu_range": (-1.0, 2.0)},
+        {"nu_range": (0.5, float("nan"))},  # was reported as a pinned edge
+        {"nu_range": (float("nan"), 2.0)},
+        {"nu_range": (0.5, float("inf"))},
+        {"nu_range": (True, 2.0)},
+        {"nu_range": ("0.5", 2.0)},
+    ],
+)
+def test_optimize_collapse_takes_grid_sizes_and_nu_range_by_one_policy(kwargs):
+    with pytest.raises(ValueError, match="grid entries must be >= 1|nu_range must be finite"):
+        optimize_collapse(collapse_curves(), **kwargs)
+
+
+def test_optimize_collapse_takes_valid_grid_sizes_and_nu_range():
+    fit = optimize_collapse(collapse_curves(), nu_range=(np.float32(0.5), 2), grid=(3, 1))
+    assert abs(fit.p_c - 0.16) < 0.01 and abs(fit.nu - 0.94) < 0.05 and len(fit.trace) == 4
 
 
 PROBABILITY_ENTRY_POINTS = {

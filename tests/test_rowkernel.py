@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import negsim.circuit as circuit
+import negsim.entanglement as entanglement
 from negsim import polymer, rowkernel
 from negsim.channels import (
     _apply_layer,
@@ -40,6 +41,7 @@ from negsim.entanglement import (
     Bipartition,
     entropy,
     length_distribution,
+    mutual_information,
     negativity,
     record_observables,
 )
@@ -410,6 +412,59 @@ def same_tableau(a, b):
     return a._stab == b._stab and np.array_equal(a._cols, b._cols)
 
 
+CUT_SIZES = [2, 64, 66, 130]
+
+
+def sorted_sites(sites):
+    return tuple(sorted(int(s) for s in sites))
+
+
+def cut_regions(L, rng):
+    """(A, B) for entanglement._observables, B = None meaning the rest of
+    the chain: the contiguous halves, a non-contiguous A against the rest,
+    and (for L > 2) non-contiguous A and B that leave sites out."""
+    order = rng.permutation(L)
+    yield tuple(range(L // 2)), None
+    yield sorted_sites(order[: int(rng.integers(1, L))]), None
+    if L > 2:
+        size = int(rng.integers(1, L - 1))
+        size_b = int(rng.integers(1, L - size))
+        yield sorted_sites(order[:size]), sorted_sites(order[size : size + size_b])
+
+
+def assert_cut_ranks_match_numpy(monkeypatch, L):
+    """The kernel's three ranks against the numpy _ranks on runner_states(L):
+    product (k = L), k = 0, pure states (random_sites(0)) and mixed states
+    after edge and bulk dephasing, directly where A and B cover the chain
+    and through the trace-out, entropy, negativity and mutual_information
+    where they do not. Some record must have 2E > 0: a pivot row left stale
+    on a column of A shows only there."""
+    rng = make_rng(L)
+    entangled = 0
+    for state in runner_states(L):
+        for region_a, region_b in cut_regions(L, rng):
+            a, b, columns = entanglement._regions(L, region_a, region_b)
+            if not columns:
+                want = without_kernel(monkeypatch, entanglement._ranks, state, a, b)
+                assert rowkernel.record_ranks(state, a.raw, b.raw) == want
+            got = entanglement._observables(state, region_a, region_b)
+            assert got == without_kernel(monkeypatch, entanglement._observables, state, region_a,
+                                         region_b)
+            entangled += got[3] > 0
+            assert entropy(state, region_a) == without_kernel(monkeypatch, entropy, state, region_a)
+            if region_b is not None:
+                bp = Bipartition(region_a, region_b)
+                for fn in (negativity, mutual_information):
+                    assert fn(state, bp) == without_kernel(monkeypatch, fn, state, bp)
+    assert entangled > 0
+
+
+@needs_kernel
+@pytest.mark.parametrize("L", CUT_SIZES)
+def test_cut_ranks_match_numpy_ranks(monkeypatch, L):
+    assert_cut_ranks_match_numpy(monkeypatch, L)
+
+
 @needs_kernel
 @pytest.mark.parametrize("L", CANON_SIZES)
 def test_canonicalize_matches_row_int_code_bit_for_bit(monkeypatch, L):
@@ -716,6 +771,15 @@ def test_variant_builds_run_the_same_trajectories(monkeypatch, use_build, extra)
         for schedule in LOOP_SCHEDULES:
             for cfg in loop_configs(L, schedule):
                 assert_loop_matches_reference(monkeypatch, cfg)
+
+
+@needs_kernel
+@pytest.mark.parametrize("extra", [("-U__SIZEOF_INT128__",), PLAIN_LOOP], ids=["no_int128", "no_lanes"])
+def test_variant_builds_give_the_same_cut_ranks(monkeypatch, use_build, extra):
+    # the plain-loop build gathers the stabilizer rows in place, not packed
+    use_build(extra)
+    for L in CUT_SIZES:
+        assert_cut_ranks_match_numpy(monkeypatch, L)
 
 
 def exported_functions(c_source: str):
