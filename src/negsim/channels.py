@@ -55,7 +55,14 @@ __all__ = [
 Rng = np.random.Generator
 
 
-def make_rng(seed: int) -> Rng:
+def make_rng(seed: Optional[int]) -> Rng:
+    """A PCG64 Generator seeded through SeedSequence(seed). seed is a
+    non-negative integer, checked as _check_integers checks one (a bool or
+    2.0 is none), or None for fresh entropy from the OS."""
+    if seed is not None:
+        _check_integers(seed=seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 

@@ -171,7 +171,9 @@ class PolymerLattice:
     """Quenched bond disorder on the tilted half-plane lattice.
 
     measured[x, d, s] is the bond leaving column x at depth d (= -y), going
-    down to depth d+1 (s = 0) or up to depth d-1 (s = 1).
+    down to depth d+1 (s = 0) or up to depth d-1 (s = 1). A pinned lattice
+    holds only the bonds a path from (0, 0) to (width, 0) can visit (see
+    sample), and answers only queries from even columns.
     """
 
     width: int
@@ -179,6 +181,7 @@ class PolymerLattice:
     measured: np.ndarray
     p: float
     energy_unit: float = 1.0
+    pinned: bool = False
 
     def __post_init__(self):
         _check_dimensions(self.width, self.height)
@@ -196,24 +199,37 @@ class PolymerLattice:
         rng,
         height: Optional[int] = None,
         energy_unit: float = 1.0,
+        *,
+        pinned: bool = False,
     ) -> "PolymerLattice":
         """I.i.d. Bernoulli(p) bonds; rng may be a Generator or a seed.
 
         The bonds are rng.random((width, height + 1, 2)) < p: the same
         doubles in the same order, and the same state of rng afterwards, on
-        either path. When the row kernel is built and rng runs on numpy's
-        PCG64 (make_rng's and default_rng's bit generator), the kernel steps
+        either path. With pinned, only the bonds a path from (0, 0) to
+        (width, 0) can visit are kept, bond (x, d, s) with d <= min(x,
+        width - x, height) and d = x mod 2, each as the full draw makes it;
+        every other bond is False, and rng still ends in the full draw's
+        state. Every PathQuery with an even x_start then has the full
+        lattice's energy and path, kpz_scan's (0, width) and
+        domain_wall_negativity's halves among them.
+
+        When the row kernel is built and rng runs on numpy's PCG64
+        (make_rng's and default_rng's bit generator), the kernel steps
         PCG64 itself and writes each bond without making its double
-        (rowkernel.draw_bonds); a lattice of 2^20 bonds or more is drawn in
-        contiguous segments on up to one thread per core (at most 8), each
-        started from its exact PCG64 state by jump-ahead, with the same
-        bits, and no thread outlives the call. On a CPU with AVX-512 each
-        segment is drawn 16 PCG64 lanes at a time, each lane jumping 16
-        LCG steps per draw, again with the same bits. Every other bit
-        generator, and a build without a compiler, draws the doubles in
-        chunks of SAMPLE_CHUNK, so that no full-size float array exists. p
-        and the dimensions are checked before anything is drawn; a bool p,
-        and one that is not a number, is rejected.
+        (rowkernel.draw_bonds); pinned, it draws only each column's
+        reachable prefix, at the column's parity, and jumps PCG64 over the
+        rest. A lattice of 2^20 bonds or more is drawn in groups of whole
+        columns (of bonds when not pinned) on up to one thread per core (at
+        most 8), each started from its exact PCG64 state by jump-ahead,
+        with the same bits, and no thread outlives the call. On a CPU with
+        AVX-512 the kernel draws 16 PCG64 lanes at a time, again with the
+        same bits. Every other bit generator, and a build without a
+        compiler, draws the doubles in chunks of SAMPLE_CHUNK, so that no
+        full-size float array exists, and pinned then clears the other
+        bonds with one mask. p and the dimensions are checked before
+        anything is drawn; a bool p, and one that is not a number, is
+        rejected.
         """
         _check_probability(p=p)
         _check_dimensions(width, 0 if height is None else height)
@@ -223,7 +239,7 @@ class PolymerLattice:
             height = width // 2
         measured = np.empty((width, height + 1, 2), dtype=bool)
         if rowkernel.LIB is not None and type(rng.bit_generator) is np.random.PCG64:
-            rowkernel.draw_bonds(rng, p, measured)
+            rowkernel.draw_bonds(rng, p, measured, pinned)
         else:
             flat = measured.reshape(-1)
             buf = np.empty(min(SAMPLE_CHUNK, flat.size))
@@ -231,7 +247,10 @@ class PolymerLattice:
                 chunk = buf[: flat.size - start]
                 rng.random(out=chunk)
                 np.less(chunk, p, out=flat[start : start + chunk.size])
-        return cls(width, height, measured, p, energy_unit)
+            if pinned:
+                x, d = np.arange(width)[:, None], np.arange(height + 1)
+                measured &= ((d <= np.minimum(x, width - x)) & ((d & 1) == (x & 1)))[:, :, None]
+        return cls(width, height, measured, p, energy_unit, pinned)
 
 
 @dataclass(frozen=True)
@@ -256,6 +275,8 @@ def _check_query(lat: PolymerLattice, q: PathQuery) -> None:
         raise ValueError("query columns out of range")
     if q.span % 2:
         raise ValueError("odd span: no directed path returns to y = 0")
+    if lat.pinned and q.x_start % 2:
+        raise ValueError("a pinned lattice lacks the bonds of paths from odd columns")
 
 
 # Unreachable states in the integer DP tables; INF + span stays in int32.
@@ -410,6 +431,10 @@ def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
 def kpz_scan(widths: Sequence[int], p: float, samples: int, rng) -> KpzScan:
     """Disorder-averaged polymer energy vs width, with KPZ fits.
 
+    Each sample is PolymerLattice.sample(w, p, rng, pinned=True): only the
+    bonds a path pinned at (0, 0) and (w, 0) can visit are drawn, with the
+    energies, and the state of rng, of the full draw.
+
     Mean energy is fit to s0*L + s1*L^(1/3); the variance to A*L^(2beta) in
     log-log form. At p = 0 or p = 1 the energy law is exact (E = L resp. 0)
     with zero variance, so no fit is attempted. When some width's samples
@@ -434,7 +459,7 @@ def kpz_scan(widths: Sequence[int], p: float, samples: int, rng) -> KpzScan:
     if p in (0.0, 1.0):
         exact = widths_arr.astype(float) if p == 0.0 else np.zeros(widths_arr.size)
         for w in widths_arr:  # one sample per width confirms the exact law
-            lat = PolymerLattice.sample(int(w), p, rng)
+            lat = PolymerLattice.sample(int(w), p, rng, pinned=True)
             energy = _min_energy(lat, PathQuery(0, int(w)))
             if energy != (w if p == 0.0 else 0):
                 raise AssertionError(f"p={p}: width {w} has energy {energy}, not the exact law")
@@ -447,7 +472,7 @@ def kpz_scan(widths: Sequence[int], p: float, samples: int, rng) -> KpzScan:
     for w in widths_arr:
         energies = np.empty(samples, dtype=np.float64)
         for s in range(samples):
-            lat = PolymerLattice.sample(int(w), p, rng)
+            lat = PolymerLattice.sample(int(w), p, rng, pinned=True)
             energies[s] = _min_energy(lat, PathQuery(0, int(w)))
         means.append(energies.mean())
         variances.append(energies.var(ddof=1))

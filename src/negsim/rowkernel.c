@@ -47,12 +47,16 @@
  * state and increment that the Python side reads from bit_generator.state,
  * writes each bond as rng.random() < p would make it, and hands back the
  * state after the last draw, which the Python side writes into
- * bit_generator.state under its lock. It draws a large lattice in
- * contiguous segments on pthreads, each from its exact PCG64 state by
- * jump-ahead, and joins them all before it returns. Built by GCC on x86-64
- * glibc and run on a CPU with AVX-512 (F, BW, VL and DQ, checked at each
- * call), a segment is drawn 16 PCG64 lanes at a time; elsewhere, and for a
- * segment's last n % 16 bonds, one plain loop steps the LCG once per bond.
+ * bit_generator.state under its lock. Pinned, it draws only the bonds a
+ * path from (0, 0) to (w, 0) can visit: in column x the first
+ * 2 (min(x, w - x, h) + 1) bonds, at depths of x's parity, with the rest
+ * of the column 0 and jumped over in one LCG step of the whole column. It
+ * draws a large lattice in groups of whole columns on pthreads, each from
+ * its exact PCG64 state by jump-ahead, and joins them all before it
+ * returns. Built by GCC on x86-64 glibc and run on a CPU with AVX-512 (F,
+ * BW, VL and DQ, checked at each call), every run of bonds is drawn 16
+ * PCG64 lanes at a time, on 16 bonds in a row or, pinned, on the 16 of one
+ * parity among 32; elsewhere one plain loop steps the LCG once per bond.
  * Where the compiler has no unsigned __int128 it multiplies in 32-bit
  * halves, with the same results.
  */
@@ -874,21 +878,48 @@ static u64 xsl_rr(u128 s)
     return (x >> r) | (x << (-r & 63));
 }
 
-/* s advanced by k LCG steps: mult^k s + inc (mult^(k-1) + ... + 1), by
- * squaring in O(log k) multiplies (Brown, "Random number generation with
- * arbitrary strides", 1994), as numpy's PCG64.advance. */
-static u128 pcg_advance(u128 s, u128 inc, u64 k)
+/* k LCG steps as one affine map s -> a s + c: a = mult^k, c = inc (mult^(k-1)
+ * + ... + 1), by squaring in O(log k) multiplies (Brown, "Random number
+ * generation with arbitrary strides", 1994), as numpy's PCG64.advance. */
+typedef struct {
+    u128 a, c;
+} jump;
+
+static jump pcg_jump(u128 inc, u64 k)
 {
-    u128 mult = PCG_MULT, plus = inc, acc_mult = {0, 1}, acc_plus = {0, 0}, zero = {0, 0};
+    u128 mult = PCG_MULT, plus = inc, zero = {0, 0};
+    jump j = {{0, 1}, {0, 0}};
     for (; k; k >>= 1) {
         if (k & 1) {
-            acc_mult = mul_add(acc_mult, mult, zero);
-            acc_plus = mul_add(acc_plus, mult, plus);
+            j.a = mul_add(j.a, mult, zero);
+            j.c = mul_add(j.c, mult, plus);
         }
         plus = mul_add(mult, plus, plus);
         mult = mul_add(mult, mult, zero);
     }
-    return mul_add(acc_mult, s, acc_plus);
+    return j;
+}
+
+static u128 leap(jump j, u128 s)
+{
+    return mul_add(j.a, s, j.c);
+}
+
+/* A run of draws takes every position (stride 1, phase 0), or with stride 2
+ * only the positions i with i & 2 == phase (phase 0 or 2): in a pinned
+ * column, the two bonds of each depth of the column's parity. The other
+ * positions step the LCG but get 0. */
+
+/* out[i] for i < n, one LCG step per position from the state s before
+ * position 0 */
+static void draw_plain(u128 s, u128 inc, u64 threshold, int64_t n, unsigned char *out, int stride,
+                       int phase)
+{
+    int64_t pick = 2 * (stride - 1); /* i & pick == phase: 0 == 0 at stride 1 */
+    for (int64_t i = 0; i < n; i++) {
+        s = mul_add(s, PCG_MULT, inc);
+        out[i] = (i & pick) == phase && (xsl_rr(s) >> 11) < threshold;
+    }
 }
 
 #ifdef LANES
@@ -908,7 +939,7 @@ typedef struct {
     __m512i l[4];
 } octet;
 
-/* s = a s + c mod 2^128 in every lane, for constants a and c: column k of
+/* s = a s + c mod 2^128 in every lane, for per-lane a and c: column k of
  * the product sums the low halves of the limb products a_j s_(k-j), the
  * high halves of those of column k - 1, c's limb k and the carry; ten
  * 32 x 32 -> 64-bit multiplies, none of column 4 or above. Each column sum
@@ -966,112 +997,202 @@ LANES static octet to_octet(const u128 *v, int stride)
     return o;
 }
 
-/* out[i] = (draw i >> 11) < threshold for the first n - n % 16 draws from
- * the PCG64 state s before draw 0, sixteen at a time; returns how many it
- * drew. Lane k of the two octets holds the state draw k is made from, and
- * every lane then jumps 16 LCG steps at once (mult^16, plus^16). */
-LANES static int64_t draw_lanes(u128 s, u128 inc, u64 threshold, int64_t n, unsigned char *out)
+/* The lane loop's constants for one stride, made once per draw_bonds call.
+ * Lane k (of octet k / 8) draws positions 2 stride (k / 2) + k % 2 + phase
+ * + 16 stride t, t = 0, 1, ...: its first state is first[phase / 2][k / 8]
+ * applied to the state before position 0, and each step every lane jumps
+ * 16 stride LCG steps (step). */
+typedef struct {
+    octet first_a[2][2], first_c[2][2], step_a, step_c;
+    int stride;
+} lanes;
+
+LANES static void lanes_init(lanes *q, u128 inc, int stride)
 {
-    u128 first[16], a = {0, 1}, c = {0, 0}, zero = {0, 0};
-    for (int k = 0; k < 16; k++) {
-        first[k] = s = mul_add(s, PCG_MULT, inc);
-        a = mul_add(a, PCG_MULT, zero);
-        c = mul_add(c, PCG_MULT, inc);
+    u128 a[33] = {{0, 1}}, c[33] = {{0, 0}}, zero = {0, 0}; /* j steps: a[j] s + c[j] */
+    for (int j = 1; j <= 32; j++) {
+        a[j] = mul_add(a[j - 1], PCG_MULT, zero);
+        c[j] = mul_add(c[j - 1], PCG_MULT, inc);
     }
-    octet lo = to_octet(first, 1), hi = to_octet(first + 8, 1);
-    const octet jump = to_octet(&a, 0), step = to_octet(&c, 0);
+    for (int phase = 0; phase <= 2 * (stride - 1); phase += 2) {
+        u128 first_a[16], first_c[16];
+        for (int k = 0; k < 16; k++) {
+            int steps = 2 * stride * (k >> 1) + (k & 1) + phase + 1;
+            first_a[k] = a[steps];
+            first_c[k] = c[steps];
+        }
+        for (int half = 0; half < 2; half++) {
+            q->first_a[phase / 2][half] = to_octet(first_a + 8 * half, 1);
+            q->first_c[phase / 2][half] = to_octet(first_c + 8 * half, 1);
+        }
+    }
+    q->step_a = to_octet(&a[16 * stride], 0);
+    q->step_c = to_octet(&c[16 * stride], 0);
+    q->stride = stride;
+}
+
+/* 16 bits, bit k to bit 4 (k / 2) + k % 2: each pair of lanes to the
+ * first two bytes of its four */
+static inline uint32_t spread_pairs(uint32_t x)
+{
+    x = (x | x << 8) & 0x00ff00ff;
+    x = (x | x << 4) & 0x0f0f0f0f;
+    return (x | x << 2) & 0x33333333;
+}
+
+/* The 16 lanes' bonds as bits; at stride 2 each pair of lanes moves to the
+ * first two of its four places among 32, shifted by phase */
+LANES static inline uint32_t lane_bits(const octet *lo, const octet *hi, __m512i limit, int64_t span,
+                                       int phase)
+{
+    uint32_t bits = octet_bonds(lo, limit) | (uint32_t)octet_bonds(hi, limit) << 8;
+    return span == 32 ? spread_pairs(bits) << phase : bits;
+}
+
+/* draw_plain's out[i] for i < n, 16 stride positions per step, each
+ * step's bytes in one store (0 at the other parity at stride 2); a last
+ * part step stores them masked to end at n. The constants live in
+ * locals: through the char pointer out, a store could alias q. */
+LANES static void draw_lanes(const lanes *q, u128 s, u64 threshold, int64_t n, unsigned char *out,
+                             int phase)
+{
+    octet lo = to_octet(&s, 0), hi = lo;
+    octet_mul_add(&lo, &q->first_a[phase / 2][0], &q->first_c[phase / 2][0]);
+    octet_mul_add(&hi, &q->first_a[phase / 2][1], &q->first_c[phase / 2][1]);
+    const octet step_a = q->step_a, step_c = q->step_c;
     const __m512i limit = _mm512_set1_epi64((long long)threshold);
-    const __m128i one = _mm_set1_epi8(1);
+    const __m256i one = _mm256_set1_epi8(1);
+    const int64_t span = 16 * q->stride;
     int64_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        __mmask16 bits = (__mmask16)(octet_bonds(&lo, limit) | octet_bonds(&hi, limit) << 8);
-        _mm_storeu_si128((__m128i *)(out + i), _mm_maskz_mov_epi8(bits, one));
-        octet_mul_add(&lo, &jump, &step);
-        octet_mul_add(&hi, &jump, &step);
+    for (; i + span <= n; i += span) {
+        __m256i bytes = _mm256_maskz_mov_epi8(lane_bits(&lo, &hi, limit, span, phase), one);
+        if (span == 32)
+            _mm256_storeu_si256((__m256i *)(out + i), bytes);
+        else
+            _mm_storeu_si128((__m128i *)(out + i), _mm256_castsi256_si128(bytes));
+        octet_mul_add(&lo, &step_a, &step_c);
+        octet_mul_add(&hi, &step_a, &step_c);
     }
-    return i;
+    if (i < n)
+        _mm256_mask_storeu_epi8(out + i, (1u << (n - i)) - 1,
+                                _mm256_maskz_mov_epi8(lane_bits(&lo, &hi, limit, span, phase), one));
 }
 #endif
 
-/* out[i] = (draw i >> 11) < threshold for i < n, from the PCG64 state s
- * before draw 0; returns the state after the last draw. Draw i's top 53
- * bits are the double rng.random() makes of it times 2^53. On a CPU with
- * AVX-512 draw_lanes draws all but the n % 16 last bonds, and the state
- * after them comes by jump-ahead; the plain loop, one LCG step per bond,
- * draws the rest. The state lives in a local: through the char pointer
- * out, a store could alias any state kept in memory. */
-static u128 draw_segment(u128 s, u128 inc, u64 threshold, int64_t n, unsigned char *out)
-{
-    int64_t i = 0;
+/* One draw_bonds call: columns of `column` positions, `width` of them.
+ * With pinned each column is a lattice column (x, d, s) at position
+ * 2 d + s, and only its first 2 (min(x, width - x, h) + 1) positions are
+ * drawn, at the parity of x; h = column / 2 - 1. */
+typedef struct {
+    u128 inc;
+    u64 threshold;
+    int64_t width, column;
+    int pinned;
+    unsigned char *out;
+    jump skip; /* one column's LCG steps */
 #ifdef LANES
-    if (n >= 16 && has_lanes()) {
-        i = draw_lanes(s, inc, threshold, n, out);
-        s = pcg_advance(s, inc, (u64)i);
+    int use_lanes; /* the CPU has AVX-512: the lanes draw every run */
+    lanes lane;
+#endif
+} plan;
+
+/* draw_plain's out[i] for i < n, in the lanes when the CPU has them */
+static void draw_run(const plan *q, u128 s, int64_t n, unsigned char *out, int stride, int phase)
+{
+#ifdef LANES
+    if (q->use_lanes) {
+        draw_lanes(&q->lane, s, q->threshold, n, out, phase);
+        return;
     }
 #endif
-    for (; i < n; i++) {
-        s = mul_add(s, PCG_MULT, inc);
-        out[i] = (xsl_rr(s) >> 11) < threshold;
-    }
-    return s;
+    draw_plain(s, q->inc, q->threshold, n, out, stride, phase);
 }
 
-/* draw_bonds splits the bonds into at most MAX_THREADS contiguous segments
- * of at least MIN_SEGMENT draws each, and draws them on as many threads. */
+/* draw_bonds splits the columns into at most MAX_THREADS groups of whole
+ * columns, each spanning at least MIN_SEGMENT positions, and draws them on
+ * as many threads. */
 #define MAX_THREADS 8
 #define MIN_SEGMENT ((int64_t)1 << 19)
 
-/* One thread's segment, alone on its cache lines, so that no thread's
+/* One thread's columns, alone on their cache lines, so that no thread's
  * writes share a line with another thread's record. */
 typedef struct {
-    _Alignas(64) u128 start; /* the state before the segment's first draw */
-    u128 inc, end;           /* end: the state after its last draw */
-    u64 threshold;
-    int64_t n;
-    unsigned char *out;
-} segment;
+    _Alignas(64) u128 start; /* the state before the group's first position */
+    u128 end;                /* the state after its last */
+    int64_t first, count;    /* its columns */
+    const plan *q;
+} group;
 
-static void *draw_thread(void *arg)
+static void *draw_group(void *arg)
 {
-    segment *g = arg;
-    g->end = draw_segment(g->start, g->inc, g->threshold, g->n, g->out);
+    group *g = arg;
+    const plan *q = g->q;
+    unsigned char *out = q->out + g->first * q->column;
+    if (!q->pinned) {
+        int64_t n = g->count * q->column;
+        draw_run(q, g->start, n, out, 1, 0);
+        g->end = leap(pcg_jump(q->inc, (u64)n), g->start);
+        return NULL;
+    }
+    int64_t h = q->column / 2 - 1;
+    u128 s = g->start;
+    for (int64_t x = g->first; x < g->first + g->count; x++, out += q->column) {
+        int64_t top = x < q->width - x ? x : q->width - x;
+        int64_t n = 2 * ((top < h ? top : h) + 1);
+        draw_run(q, s, n, out, 2, 2 * (int)(x & 1));
+        memset(out + n, 0, (size_t)(q->column - n));
+        s = leap(q->skip, s);
+    }
+    g->end = s;
     return NULL;
 }
 
-/* out[i] = (draw i >> 11) < threshold for i < n, with state = {state hi,
- * state lo, increment hi, increment lo} of numpy's PCG64, then the state
- * after the last draw written back to state[0..1]; with threshold
- * ceil(p 2^53) out is rng.random(n) < p. Segment k starts from the exact
- * state before its first draw, by jump-ahead, so the bits do not depend on
- * threads. The calling thread draws segment 0 and every segment whose
- * thread could not start, and joins every thread before it returns. */
-void draw_bonds(u64 *state, u64 threshold, int64_t n, unsigned char *out, int threads)
+/* out[i] = (draw i >> 11) < threshold for the width x column positions i,
+ * with state = {state hi, state lo, increment hi, increment lo} of numpy's
+ * PCG64, then the state after the last draw written back to state[0..1];
+ * with threshold ceil(p 2^53) out is rng.random(n) < p. With pinned, out
+ * is a (width, column / 2, 2) lattice and only the bonds a path from (0, 0)
+ * to (width, 0) can visit are drawn, each from its own place in the stream
+ * (plan); the others are 0, and the state ends where the full draw leaves
+ * it. Group k starts from the exact state before its first column, by
+ * jump-ahead, so the bits do not depend on threads. The calling thread
+ * draws group 0 and every group whose thread could not start, and joins
+ * every thread before it returns. */
+void draw_bonds(u64 *state, u64 threshold, int64_t width, int64_t column, int pinned,
+                unsigned char *out, int threads)
 {
-    if (n <= 0)
+    if (width <= 0 || column <= 0)
         return;
-    int64_t parts = n / MIN_SEGMENT;
+    int64_t parts = width * column / MIN_SEGMENT;
     parts = parts < threads ? parts : threads;
     parts = parts < MAX_THREADS ? parts : MAX_THREADS;
     parts = parts > 1 ? parts : 1;
-    int64_t length = n / parts;
+    int64_t length = width / parts;
     u128 s = {state[0], state[1]}, inc = {state[2], state[3]};
-    segment seg[MAX_THREADS];
+    plan q = {.inc = inc, .threshold = threshold, .width = width, .column = column,
+              .pinned = pinned, .out = out, .skip = pcg_jump(inc, (u64)column)};
+#ifdef LANES
+    q.use_lanes = has_lanes();
+    if (q.use_lanes)
+        lanes_init(&q.lane, inc, pinned ? 2 : 1);
+#endif
+    group g[MAX_THREADS];
     pthread_t tid[MAX_THREADS];
     int started[MAX_THREADS] = {0};
     for (int k = 0; k < parts; k++) {
-        seg[k] = (segment){.start = pcg_advance(s, inc, (u64)(k * length)), .inc = inc,
-                           .threshold = threshold, .n = k + 1 < parts ? length : n - k * length,
-                           .out = out + k * length};
+        g[k] = (group){.start = leap(pcg_jump(inc, (u64)(k * length * column)), s),
+                       .first = k * length, .count = k + 1 < parts ? length : width - k * length,
+                       .q = &q};
         if (k > 0)
-            started[k] = pthread_create(&tid[k], NULL, draw_thread, &seg[k]) == 0;
+            started[k] = pthread_create(&tid[k], NULL, draw_group, &g[k]) == 0;
     }
-    draw_thread(&seg[0]);
+    draw_group(&g[0]);
     for (int k = 1; k < parts; k++) {
         if (started[k])
             pthread_join(tid[k], NULL);
         else
-            draw_thread(&seg[k]);
+            draw_group(&g[k]);
     }
-    state[0] = seg[parts - 1].end.hi;
-    state[1] = seg[parts - 1].end.lo;
+    state[0] = g[parts - 1].end.hi;
+    state[1] = g[parts - 1].end.lo;
 }

@@ -36,12 +36,15 @@ Generator runs on numpy's PCG64: the kernel steps PCG64 from the 128-bit
 state and increment read from `rng.bit_generator.state`, writes each bond as
 `rng.random() < p` makes it, and the state after the last draw is written
 back, under the bit generator's lock; the bonds and the state are numpy's.
-A large lattice is drawn in contiguous segments on up to THREADS pthreads
-(the cores this process may run on, at most 8), each segment from its exact
-PCG64 state by jump-ahead; the bits do not depend on the thread count, and
-no thread outlives the call, so processes forked later inherit none. On a
-CPU with AVX-512 each segment is drawn 16 PCG64 lanes at a time, with the
-same bits.
+Pinned (`PolymerLattice.sample(..., pinned=True)`, as `kpz_scan` draws), it
+draws only the bonds a path from (0, 0) to (width, 0) can visit, each
+column's reachable prefix at the column's parity, and jumps PCG64 over the
+rest of the column. A large lattice is drawn in groups of whole columns on
+up to THREADS pthreads (the cores this process may run on, at most 8), each
+group from its exact PCG64 state by jump-ahead; the bits do not depend on
+the thread count, and no thread outlives the call, so processes forked
+later inherit none. On a CPU with AVX-512 the bonds are drawn 16 PCG64
+lanes at a time, with the same bits.
 
 On first import the source is compiled with `cc -O3 -shared -fPIC -pthread` into
 `__pycache__/rowkernel-<hash>.so` beside this file (or `~/.cache/negsim/` when
@@ -126,7 +129,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         (ctypes.c_void_p, ctypes.c_int) + (ctypes.c_void_p,) * 3
         + (ctypes.c_int, ctypes.c_double) + (ctypes.c_int,) * 3 + (ctypes.c_void_p,)
     )
-    lib.draw_bonds.argtypes = (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int)
+    lib.draw_bonds.argtypes = (
+        (ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int)
+        + (ctypes.c_void_p, ctypes.c_int)
+    )
     lib.draw_bonds.restype = None
     return lib
 
@@ -350,20 +356,31 @@ _WORD = (1 << 64) - 1
 THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def draw_bonds(rng, p: float, out: np.ndarray) -> None:
+def draw_bonds(rng, p: float, out: np.ndarray, pinned: bool = False) -> None:
     """out[...] = rng.random(out.shape) < p for a Generator on numpy's PCG64:
     the same bonds, and the bit generator left in the same state. The kernel
     steps PCG64 from the 128-bit state and increment of
     rng.bit_generator.state, and the state after the last draw is written
     back under the bit generator's lock; has_uint32 and uinteger, which
-    random() neither reads nor writes, stay as they were. A lattice of at
-    least 2^20 bonds is split into contiguous segments of at least 2^19,
-    one per thread up to THREADS and at most 8, each started from its exact
-    PCG64 state by jump-ahead (as PCG64.advance), so the bonds do not depend
-    on the thread count; every thread is joined before the call returns.
-    A GCC build on x86-64 draws 16 bonds per step on a CPU with AVX-512
-    (rowkernel.c's draw_lanes) and the last n % 16 of a segment, or all of
-    them elsewhere, one LCG step at a time; the bits are the same."""
+    random() neither reads nor writes, stay as they were.
+
+    With pinned, out is a (width, height + 1, 2) polymer lattice and only
+    the bonds (x, d, s) with d <= min(x, width - x, height) and d = x mod 2,
+    those a path from (0, 0) to (width, 0) can visit, are drawn, each from
+    its place in the full draw's stream; the others are False, and the bit
+    generator still ends where the full draw leaves it. Column x draws the
+    first 2 (min(x, width - x, height) + 1) bonds and jumps the LCG over
+    the rest of the column.
+
+    A lattice of at least 2^20 bonds is split into groups of whole columns
+    (single bonds when not pinned) spanning at least 2^19 bonds, one per
+    thread up to THREADS and at most 8, each started from its exact PCG64
+    state by jump-ahead (as PCG64.advance), so the bonds do not depend on
+    the thread count; every thread is joined before the call returns. A GCC
+    build on x86-64 draws 16 bonds per step on a CPU with AVX-512
+    (rowkernel.c's draw_lanes), 16 in a row, or pinned the 16 of one
+    parity among 32, and elsewhere one LCG step at a time; the bits are
+    the same."""
     bits = rng.bit_generator
     if type(bits) is not np.random.PCG64:
         raise ValueError(f"draw_bonds steps numpy's PCG64, not {type(bits).__name__}")
@@ -371,11 +388,14 @@ def draw_bonds(rng, p: float, out: np.ndarray) -> None:
         raise ValueError("p must lie in [0, 1]")
     if out.dtype != np.bool_ or not out.flags.c_contiguous:
         raise ValueError("the bonds must be a C-contiguous bool array")
+    if pinned and (out.ndim != 3 or out.shape[2] != 2 or out.size == 0):
+        raise ValueError("a pinned draw needs a (width, height + 1, 2) lattice")
+    width, column = (out.shape[0], 2 * out.shape[1]) if pinned else (out.size, 1)
     threshold = math.ceil(float(p) * 2.0**53)  # in float64 whatever p's numpy type
     with bits.lock:
         full = bits.state
         state, inc = full["state"]["state"], full["state"]["inc"]
         words = (ctypes.c_uint64 * 4)(state >> 64, state & _WORD, inc >> 64, inc & _WORD)
-        LIB.draw_bonds(words, threshold, out.size, out.ctypes.data, THREADS)
+        LIB.draw_bonds(words, threshold, width, column, int(pinned), out.ctypes.data, THREADS)
         full["state"]["state"] = words[0] << 64 | words[1]
         bits.state = full

@@ -536,6 +536,9 @@ INTEGER_ENTRY_POINTS = {
     "PolymerLattice.sample height": (lambda v: PolymerLattice.sample(8, 0.5, 0, height=v), True),
     "kpz_scan widths": (lambda v: kpz_scan([v, 16, 32], 0.3, 2, 2), False),
     "kpz_scan samples": (lambda v: kpz_scan([2, 16, 32], 0.3, v, 2), False),
+    # a bool seed ran as seed 1, and 2.0 raised TypeError from SeedSequence
+    "PolymerLattice.sample seed": (lambda v: PolymerLattice.sample(8, 0.3, v), True),
+    "kpz_scan seed": (lambda v: kpz_scan([8, 16], 0.3, 3, v), True),
     "CircuitConfig.L": (lambda v: CircuitConfig(L=v, p=0.1), False),
     "CircuitConfig.T": (lambda v: CircuitConfig(L=4, p=0.1, T=v), True),
     "CircuitConfig.seed": (lambda v: CircuitConfig(L=4, p=0.1, seed=v), False),
@@ -559,6 +562,14 @@ def test_every_entry_point_takes_integers_by_one_policy(entry):
             call(value)
     for value in (np.int32(2), np.int64(2)):
         call(value)
+
+
+def test_make_rng_rejects_negative_seeds_and_takes_none_as_fresh_entropy():
+    for seed in (-1, np.int64(-5)):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            make_rng(seed)
+    assert make_rng(None).random() != make_rng(None).random()
+    assert make_rng(np.uint64(3)).random() == make_rng(3).random()
 
 
 @pytest.mark.parametrize(

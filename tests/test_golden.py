@@ -43,6 +43,11 @@ CASES = {
     "polymer_w4_8_16.csv": [
         "polymer", "--widths", "4,8,16", "--p", "0.3", "--samples", "20", "--seed", "2",
     ],
+    # w = 1024 spans more than 2^20 bonds: the kernel's lane loop, column
+    # jumps and thread split all draw these lattices
+    "polymer_w64_256_1024.csv": [
+        "polymer", "--widths", "64,256,1024", "--p", "0.1", "--samples", "6", "--seed", "3",
+    ],
 }
 
 # tiny stand-ins for the desk scales, so the figure recipes run in seconds

@@ -4,7 +4,7 @@ No linter is a dependency of negsim, so this AST scan keeps unused imports
 out. The package's `__init__.py` only re-exports and is skipped; an import
 line marked `# noqa: F401` is kept on purpose (a name other code looks up
 by module). A child interpreter also checks that importing negsim loads no
-scipy module.
+scipy module, and none of the modules the package loads on first use.
 """
 
 import ast
@@ -70,3 +70,28 @@ def test_import_negsim_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+
+
+def test_import_negsim_loads_no_oracle_polymer_or_analysis():
+    # they load on first use of one of their names; each cost 5-9 ms per import
+    code = (
+        "import sys, negsim; lazy = ('analysis', 'oracle', 'polymer');"
+        " print(sorted(m for m in lazy if 'negsim.' + m in sys.modules));"
+        " negsim.kpz_scan, negsim.oracle.DenseState, negsim.SweepSpec;"
+        " print(sorted(m for m in lazy if 'negsim.' + m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "['analysis', 'oracle', 'polymer']"]
+
+
+def test_every_public_name_resolves():
+    import negsim
+
+    for name in negsim.__all__:
+        assert getattr(negsim, name) is not None, name
+    for module in ("analysis", "oracle", "polymer"):
+        assert getattr(negsim, module).__name__ == f"negsim.{module}"
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        negsim.nope

@@ -297,6 +297,36 @@ def test_path_dp_matches_enumeration_and_forward_dp_on_sub_spans(both_paths, wid
                 assert [-y for _, y in path] == min(optimal)
 
 
+@pytest.mark.parametrize("width", [7, 13, 31, 36])
+def test_pinned_lattice_gives_the_full_lattices_paths(both_paths, width):
+    # a pinned draw keeps each bond a path from (0, 0) to (width, 0) can
+    # visit, as the full draw makes it: every query from an even column, and
+    # every split into two even spans, gets the full lattice's energy, path
+    # and negativity, and the generator ends in the full draw's state
+    for height in (0, 1, width // 4, (width - 1) // 2):
+        for p in (0.1, 0.5):
+            rng, ref = make_rng(400 + width + height), make_rng(400 + width + height)
+            pinned = PolymerLattice.sample(width, p, rng, height=height, pinned=True)
+            full = PolymerLattice.sample(width, p, ref, height=height)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert not (pinned.measured & ~full.measured).any()
+            for a in range(0, width, 2):
+                for b in range(a + 2, width + 1, 2):
+                    q = PathQuery(a, b)
+                    if height == 0:  # no path on either
+                        with pytest.raises(ValueError):
+                            min_path_energy(pinned, q)
+                        continue
+                    assert min_path_energy(pinned, q) == min_path_energy(full, q), (height, q)
+                    assert polymer._min_energy(pinned, q) == polymer._min_energy(full, q)
+            for cut in range(2, width - 1, 2) if height and width % 2 == 0 else ():
+                halves = ((0, cut), (cut, width))
+                assert domain_wall_negativity(pinned, halves) == domain_wall_negativity(full, halves)
+            # a path from an odd column would cross bonds the draw left False
+            with pytest.raises(ValueError, match="odd columns"):
+                min_path_energy(pinned, PathQuery(1, 3))
+
+
 def test_tie_break_prefers_shallow_then_left():
     # no measured bonds: every path costs span, and the winner must hug y = 0
     lat = PolymerLattice.sample(6, 0.0, 0)

@@ -6,8 +6,9 @@ rank must equal the int-row elimination's; a one-call trajectory must
 give the _layer_ops loop's records, final tableau and generator state;
 canonicalize must leave the same bits as the row-int code; each polymer
 energy must equal the numpy DP's, or fail with the same ValueError; the
-PCG64 bond draw must give rng.random()'s bonds and leave the generator in
-its state. The numpy side runs with rowkernel.LIB set to None.
+PCG64 bond draw must give rng.random()'s bonds, pinned with the bonds no
+pinned path visits False, and leave the generator in its state. The numpy
+side runs with rowkernel.LIB set to None.
 """
 
 import copy
@@ -601,8 +602,14 @@ def test_polymer_kernel_checks_lattice_and_query():
 # written back follows a few draws, and longer ones with every remainder
 # mod 4, the tails an unrolled draw loop in rowkernel.c would leave; and
 # counts on either side of one and two steps of its 16-lane loop, where the
-# plain loop draws the tail from the jumped-ahead state.
+# last step's store is cut short.
 BOND_COUNTS = (1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 31, 32, 33, 1001, 1002, 1003, 1004)
+# (width, height) of pinned draws: odd widths, heights below and above
+# width / 2, so that the reachable prefixes 2 (min(x, width - x, height) + 1)
+# of the columns end at every even offset in a 32-bond step of the lane
+# loop, at both column parities, and some columns are cut by the height.
+PINNED_LATTICES = ((1, 0), (1, 3), (2, 1), (3, 1), (5, 2), (7, 3), (9, 12), (15, 6), (17, 8),
+                   (31, 7), (33, 40), (65, 20), (67, 33), (129, 63))
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's default 128-bit multiplier
 
 
@@ -625,12 +632,29 @@ def twin_generators(seed, warm=False, first=None):
     return pair
 
 
-def kernel_bonds_match_numpy(rng, ref, n, p):
-    """rowkernel.draw_bonds from rng against ref.random(n) < p: the same
-    bonds and the same bit generator state (has_uint32 and uinteger too)."""
-    out = np.empty(n, dtype=bool)
-    rowkernel.draw_bonds(rng, p, out)
-    return np.array_equal(out, ref.random(n) < p) and rng.bit_generator.state == ref.bit_generator.state
+def pinned_bonds(width, height):
+    """(width, height + 1, 2) bool: the bonds (x, d, s) at nodes a path from
+    (0, 0) to (width, 0) can visit, d <= min(x, width - x, height) with
+    x - d even."""
+    keep = np.zeros((width, height + 1, 2), dtype=bool)
+    for x in range(width):
+        keep[x, x % 2 : min(x, width - x, height) + 1 : 2] = True
+    return keep
+
+
+def kernel_bonds_match_numpy(rng, ref, shape, p, pinned=False):
+    """rowkernel.draw_bonds from rng against ref.random(shape) < p, pinned
+    with only pinned_bonds kept: the same bonds and the same bit generator
+    state (has_uint32 and uinteger too). shape is a bond count, or a
+    (width, height) lattice when pinned."""
+    if pinned:
+        shape = (shape[0], shape[1] + 1, 2)
+    out = np.empty(shape, dtype=bool)
+    rowkernel.draw_bonds(rng, p, out, pinned)
+    want = ref.random(shape) < p
+    if pinned:
+        want &= pinned_bonds(shape[0], shape[1] - 1)
+    return np.array_equal(out, want) and rng.bit_generator.state == ref.bit_generator.state
 
 
 @needs_kernel
@@ -641,11 +665,18 @@ def test_kernel_bonds_match_numpy_draw(monkeypatch, p):
     for n in BOND_COUNTS:
         for warm in (False, True):
             assert kernel_bonds_match_numpy(*twin_generators(n, warm), n, p), (n, warm)
+    for lattice in PINNED_LATTICES:
+        for warm in (False, True):
+            twins = twin_generators(sum(lattice), warm)
+            assert kernel_bonds_match_numpy(*twins, lattice, p, pinned=True), (lattice, warm)
     # a first draw on either side of p * 2^53: the threshold is its ceiling
     edge = int(float(p) * 2**53)
     for first in [v for v in (edge - 1, edge, edge + 1) if 0 <= v < 2**53]:
         assert twin_generators(1, first=first)[0].random() == first / 2**53
         assert kernel_bonds_match_numpy(*twin_generators(1, first=first), 6, p), first
+    for shape in ((4,), (4, 3), (4, 3, 1)):
+        with pytest.raises(ValueError, match="pinned draw needs"):
+            rowkernel.draw_bonds(make_rng(7), p, np.empty(shape, dtype=bool), pinned=True)
     # sample sends PCG64 to the kernel and every other bit generator to the
     # numpy path, which must match the same draw
     calls = []
@@ -653,12 +684,16 @@ def test_kernel_bonds_match_numpy_draw(monkeypatch, p):
     monkeypatch.setattr(rowkernel, "draw_bonds", lambda *args: calls.append(1) or draw(*args))
     for bits in (np.random.PCG64, np.random.MT19937, np.random.PCG64DXSM, np.random.Philox,
                  np.random.SFC64):
-        rng, ref = np.random.Generator(bits(7)), np.random.Generator(bits(7))
-        lat = PolymerLattice.sample(30, p, rng, height=11)
-        assert np.array_equal(lat.measured, ref.random((30, 12, 2)) < p), bits.__name__
-        same = rng.bit_generator.random_raw(4) == ref.bit_generator.random_raw(4)
-        assert same.all(), bits.__name__  # MT19937's state holds an array
-        assert len(calls) == (bits is np.random.PCG64), bits.__name__
+        for pinned in (False, True):
+            rng, ref = np.random.Generator(bits(7)), np.random.Generator(bits(7))
+            lat = PolymerLattice.sample(31, p, rng, height=11, pinned=pinned)
+            want = ref.random((31, 12, 2)) < p
+            if pinned:
+                want &= pinned_bonds(31, 11)
+            assert np.array_equal(lat.measured, want), (bits.__name__, pinned)
+            same = rng.bit_generator.random_raw(4) == ref.bit_generator.random_raw(4)
+            assert same.all(), bits.__name__  # MT19937's state holds an array
+        assert len(calls) == 2 * (bits is np.random.PCG64), bits.__name__
         calls.clear()
     with pytest.raises(ValueError, match="PCG64"):
         rowkernel.draw_bonds(np.random.Generator(np.random.PCG64DXSM(7)), p, np.empty(4, dtype=bool))
@@ -689,6 +724,13 @@ def split_sizes(threads):
     return sorted(sizes)
 
 
+def split_lattices(threads):
+    """Pinned (width, 511) lattices, whose columns span 1024 bonds, of odd
+    widths next to the bond counts of split_sizes: groups of whole columns
+    start at width 512 k, so these straddle the same splits."""
+    return sorted({(n // 1024 | 1, 511) for n in split_sizes(threads)})
+
+
 @needs_kernel
 @pytest.mark.parametrize("threads", [1, 2, 3, 64])  # 64 starts at most MAX_THREADS
 def test_split_bonds_match_numpy_draw(monkeypatch, threads):
@@ -696,6 +738,9 @@ def test_split_bonds_match_numpy_draw(monkeypatch, threads):
     for n in split_sizes(threads):
         for warm in (False, True):
             assert kernel_bonds_match_numpy(*twin_generators(n, warm), n, 0.3), (n, warm)
+    for lattice in split_lattices(threads):
+        twins = twin_generators(lattice[0], warm=True)
+        assert kernel_bonds_match_numpy(*twins, lattice, 0.3, pinned=True), lattice
     n = min(threads, MAX_THREADS, 2) * SEGMENT + 1
     for p in (0.0, 1.0, 0.1, np.float32(0.1), np.nextafter(0.1, 0), np.nextafter(0.1, 1)):
         for warm in (False, True):
@@ -737,29 +782,40 @@ def test_build_without_int128_draws_the_same_bonds(monkeypatch, use_build):
     for n in BOND_COUNTS:
         for p in (0.0, 1.0, 0.3):
             assert kernel_bonds_match_numpy(*twin_generators(n, warm=n % 2), n, p), (n, p)
+    for lattice in PINNED_LATTICES:
+        twins = twin_generators(sum(lattice), warm=True)
+        assert kernel_bonds_match_numpy(*twins, lattice, 0.3, pinned=True), lattice
     rng, ref = make_rng(5), make_rng(5)
     lat = PolymerLattice.sample(64, 0.2, rng)
     assert np.array_equal(lat.measured, ref.random((64, 33, 2)) < 0.2)
     assert rng.bit_generator.state == ref.bit_generator.state
-    # two segments: each segment's start state comes from the portable jump-ahead
+    # two segments: each segment's start state, and pinned each column's
+    # jump, comes from the portable jump-ahead
     monkeypatch.setattr(rowkernel, "THREADS", 2)
     for n in (2 * SEGMENT - 1, 2 * SEGMENT + 5):
         assert kernel_bonds_match_numpy(*twin_generators(n, warm=True), n, 0.3), n
+    for lattice in split_lattices(2):
+        twins = twin_generators(lattice[0], warm=True)
+        assert kernel_bonds_match_numpy(*twins, lattice, 0.3, pinned=True), lattice
 
 
 @needs_kernel
 @pytest.mark.parametrize("threads", [1, 2])
 def test_build_without_lanes_draws_the_same_bonds(monkeypatch, use_build, threads):
-    # on a CPU with AVX-512 the default build draws all but each segment's
-    # last n % 16 bonds in its lane loop; this build draws them all in the
-    # plain loop, here across and past the first split at 2^20 bonds
+    # on a CPU with AVX-512 the default build draws every bond in its lane
+    # loop; this build draws them all in the plain loop, here across and
+    # past the first split at 2^20 bonds
     use_build(PLAIN_LOOP)
     monkeypatch.setattr(rowkernel, "THREADS", threads)
     for n in BOND_COUNTS + (2 * SEGMENT - 1, 2 * SEGMENT + 5):
         for warm in (False, True):
             assert kernel_bonds_match_numpy(*twin_generators(n, warm), n, 0.3), (n, warm)
+    for lattice in PINNED_LATTICES + tuple(split_lattices(threads)):
+        twins = twin_generators(sum(lattice), warm=True)
+        assert kernel_bonds_match_numpy(*twins, lattice, 0.3, pinned=True), lattice
     for p in (0.0, 1.0, np.nextafter(0.1, 0)):
         assert kernel_bonds_match_numpy(*twin_generators(7), 2 * SEGMENT + 1, p), p
+        assert kernel_bonds_match_numpy(*twin_generators(7), (1025, 511), p, pinned=True), p
 
 
 @needs_kernel
